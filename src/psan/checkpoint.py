@@ -5,10 +5,12 @@ manifest length, the UTF-8 JSON manifest, then the raw little-endian float
 payload. The manifest carries the config snapshot and, for every state
 tensor, its name, shape, dtype, and byte offset into the payload. Entry
 order is the model's deterministic state order, so save -> load -> save is
-byte-identical.
+byte-identical. A save writes a temporary file beside the target and
+renames it over the target, so a failed save leaves the old file intact.
 """
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -20,6 +22,7 @@ MAGIC = b"PSAN"
 VERSION = 1
 _DTYPE_CODES = {"float32": "f32", "float64": "f64"}
 _DTYPE_FROM_CODE = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
+_ENTRY_KEYS = {"name", "shape", "dtype", "offset"}
 
 
 class CheckpointError(ValueError):
@@ -39,12 +42,27 @@ def save_checkpoint(path, model):
         payload.extend(np.ascontiguousarray(arr, dtype=_DTYPE_FROM_CODE[code]).tobytes())
     manifest = {"config": model.cfg.to_dict(), "tensors": tensors}
     blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(bytes([VERSION]))
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
-        f.write(payload)
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(bytes([VERSION]))
+            f.write(struct.pack("<I", len(blob)))
+            f.write(blob)
+            f.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def _well_formed(entry):
+    """A manifest tensor entry has every key, a list of sizes and an offset."""
+    if not (isinstance(entry, dict) and _ENTRY_KEYS <= entry.keys()):
+        return False
+    sizes = entry["shape"] if isinstance(entry["shape"], list) else [-1]
+    return all(isinstance(v, int) and v >= 0 for v in sizes + [entry["offset"]])
 
 
 def load_checkpoint(path):
@@ -62,6 +80,10 @@ def load_checkpoint(path):
         manifest = json.loads(data[9:9 + mlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt manifest ({exc})") from None
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("config"), dict)
+            and isinstance(manifest.get("tensors"), list)):
+        raise CheckpointError(f"{path}: manifest must be an object with a "
+                              f"'config' object and a 'tensors' list")
     payload = data[9 + mlen:]
 
     cfg = ModelConfig.from_dict(manifest["config"])
@@ -71,6 +93,8 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: manifest has {len(manifest['tensors'])} tensors, "
                               f"model expects {len(state)}")
     for entry in manifest["tensors"]:
+        if not _well_formed(entry):
+            raise CheckpointError(f"{path}: malformed tensor entry {entry!r}")
         name = entry["name"]
         arr = state.get(name)
         if arr is None:

@@ -96,6 +96,26 @@ def _check_conv2d(rng):
     return check_case(fwd, [x, w, b])
 
 
+def _check_conv2d_pointwise(rng):
+    # 1x1, stride 1, unpadded: the path that multiplies the input directly
+    x, w, b = _t(rng, 2, 3, 4, 5), _t(rng, 4, 3, 1, 1), _t(rng, 4)
+    proj = _t(rng, 2, 4, 4, 5)
+    fwd = lambda: _projected_sum(ops.conv2d(x, w, b), proj)
+    return check_case(fwd, [x, w, b])
+
+
+def _check_conv2d_same(rng):
+    # stride 1 with the input size kept: the path built from shifted copies
+    x, w, b = _t(rng, 2, 3, 4, 5), _t(rng, 4, 3, 3, 3), _t(rng, 4)
+    proj = _t(rng, 2, 4, 4, 5)
+    err = check_case(lambda: _projected_sum(ops.conv2d(x, w, b, padding=1), proj), [x, w, b])
+    x5, w5, b5 = _t(rng, 1, 2, 3, 2), _t(rng, 2, 2, 5, 5), _t(rng, 2)
+    proj5 = _t(rng, 1, 2, 3, 2)
+    err5 = check_case(lambda: _projected_sum(ops.conv2d(x5, w5, b5, padding=2), proj5),
+                      [x5, w5, b5])
+    return max(err, err5)
+
+
 def _check_batchnorm2d(rng):
     x = _t(rng, 3, 4, 2, 3)
     gamma = Tensor(rng.uniform(0.5, 1.5, 4), dtype=np.float64)
@@ -104,6 +124,17 @@ def _check_batchnorm2d(rng):
     rm, rv = np.zeros(4), np.ones(4)
     fwd = lambda: _projected_sum(
         ops.batchnorm2d(x, gamma, beta, rm, rv, training=True), proj)
+    return check_case(fwd, [x, gamma, beta])
+
+
+def _check_batchnorm2d_eval(rng):
+    x = _t(rng, 3, 4, 2, 3)
+    gamma = Tensor(rng.uniform(0.5, 1.5, 4), dtype=np.float64)
+    beta = _t(rng, 4)
+    proj = _t(rng, 3, 4, 2, 3)
+    rm, rv = rng.standard_normal(4), rng.uniform(0.5, 2.0, 4)
+    fwd = lambda: _projected_sum(
+        ops.batchnorm2d(x, gamma, beta, rm, rv, training=False), proj)
     return check_case(fwd, [x, gamma, beta])
 
 
@@ -250,6 +281,9 @@ CHECKS = [
     ("elementwise", _check_elementwise, OP_TOL, 101),
     ("conv2d", _check_conv2d, OP_TOL, 102),
     ("batchnorm2d", _check_batchnorm2d, OP_TOL, 103),
+    ("conv2d_pointwise", _check_conv2d_pointwise, OP_TOL, 123),
+    ("conv2d_same", _check_conv2d_same, OP_TOL, 125),
+    ("batchnorm2d_eval", _check_batchnorm2d_eval, OP_TOL, 124),
     ("relu", _check_relu, OP_TOL, 104),
     ("sigmoid", _check_sigmoid, OP_TOL, 105),
     ("tanh", _check_tanh, OP_TOL, 106),

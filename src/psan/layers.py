@@ -5,6 +5,8 @@ order, so parameter lists, checkpoints, and seeded initialization are all
 deterministic.
 """
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from . import ops
@@ -55,6 +57,17 @@ class Module:
 
     def eval(self):
         self.set_training(False)
+
+    @contextmanager
+    def evaluating(self):
+        """Eval mode for the block; each batch norm's own mode is restored after."""
+        saved = [(m, m.training) for m in self.modules() if isinstance(m, BatchNorm2d)]
+        self.eval()
+        try:
+            yield self
+        finally:
+            for m, flag in saved:
+                m.training = flag
 
 
 class Conv2d(Module):

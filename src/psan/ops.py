@@ -1,8 +1,10 @@
 """Differentiable building blocks for the recognizer.
 
 Every function takes and returns Tensors, computes forward with numpy, and
-registers its backward rule on the active tape. Convolution is im2col plus
-one matmul; the naive direct form lives in the test suite as an oracle.
+registers its backward rule on the active tape. Convolution is one batched
+matmul over a column matrix: the input itself for a 1x1 kernel, flat shifted
+copies for other same-size stride-1 kernels, strided im2col windows
+otherwise. The naive direct form lives in the test suite as an oracle.
 """
 
 from dataclasses import dataclass
@@ -46,6 +48,41 @@ class kink_trace:
             kink_trace._active.margins.append(float(margin))
 
 
+def _accumulate_owned(t, g):
+    """accumulate_grad for a C-contiguous g that no other array shares: on
+    first touch g itself becomes t.grad, which saves a full-size copy."""
+    if t.requires_grad and t.grad is None and g.dtype == t.data.dtype and g.flags.c_contiguous:
+        t.grad = g
+    else:
+        accumulate_grad(t, g)
+
+
+def _channel_sum(a):
+    """Per-channel sums of an (N, C, L) array."""
+    return a.sum(axis=(0, 2))
+
+
+def _same_shifts(k, p, h, w):
+    """Kernel offsets of a stride-1 convolution whose output keeps the input
+    size (k = 2p + 1), in (row, column) order.
+
+    For offset (i, j), output pixel q of the flattened H*W grid reads input
+    pixel q + s with s = (i - p) * W + (j - p). Each entry is (s, lo, hi,
+    edge): q + s lies inside the grid for q in [lo, hi), and `edge` selects
+    the output columns whose read wraps across a row end. Those columns and
+    the pixels outside [lo, hi) are exactly the ones that read zero padding.
+    """
+    l = h * w
+    shifts = []
+    for i in range(k):
+        for j in range(k):
+            s = (i - p) * w + (j - p)
+            edge = slice(0, min(w, p - j)) if j < p else slice(max(0, w - (j - p)), w)
+            lo = min(l, max(0, -s))
+            shifts.append((s, lo, max(lo, min(l, l - s)), edge))
+    return shifts
+
+
 def conv2d(x, weight, bias, stride=1, padding=0, label=None):
     """2-d cross-correlation with zero padding.
 
@@ -63,19 +100,35 @@ def conv2d(x, weight, bias, stride=1, padding=0, label=None):
     _require(h_out >= 1 and w_out >= 1,
              f"conv2d: degenerate output {h_out}x{w_out} for input {h}x{w} kernel {kh}x{kw}")
 
-    if padding > 0:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    # The column matrix is (N, C_in*kh*kw, L): one row per input channel and
+    # kernel offset, so the convolution is a single batched matmul. Same-size
+    # stride-1 convolutions fill each row with one flat shifted copy, and a
+    # 1x1 kernel reads the input itself; other convolutions gather strided
+    # windows of the padded input.
+    l = h_out * w_out
+    same = stride == 1 and kh == kw == 2 * padding + 1
+    if same and kh == 1:
+        cols2 = x.data.reshape(n, c_in, l)  # a view: nothing copied or retained
+    elif same:
+        shifts = _same_shifts(kh, padding, h, w)
+        xf = x.data.reshape(n, c_in, l)
+        cols = np.empty((n, c_in, kh * kw, h, w), dtype=xf.dtype)
+        flat = cols.reshape(n, c_in, kh * kw, l)
+        for t, (s, lo, hi, edge) in enumerate(shifts):
+            flat[:, :, t, lo:hi] = xf[:, :, lo + s:hi + s]
+            flat[:, :, t, :lo] = 0
+            flat[:, :, t, hi:] = 0
+            cols[:, :, t, :, edge] = 0
+        cols2 = flat.reshape(n, c_in * kh * kw, l)
     else:
         xp = x.data
-
-    # im2col: gather every kernel offset as a strided slice, then collapse to
-    # (N, C_in*kh*kw, L) so the convolution is a single batched matmul.
-    l = h_out * w_out
-    cols = np.empty((n, c_in, kh, kw, h_out, w_out), dtype=xp.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i:i + stride * h_out:stride, j:j + stride * w_out:stride]
-    cols2 = cols.reshape(n, c_in * kh * kw, l)
+        if padding > 0:
+            xp = np.pad(xp, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        cols = np.empty((n, c_in, kh, kw, h_out, w_out), dtype=xp.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                cols[:, :, i, j] = xp[:, :, i:i + stride * h_out:stride, j:j + stride * w_out:stride]
+        cols2 = cols.reshape(n, c_in * kh * kw, l)
     wmat = weight.data.reshape(c_out, c_in * kh * kw)
     out_data = np.matmul(wmat[None], cols2)  # (N, C_out, L)
     out_data += bias.data[:, None]
@@ -84,19 +137,34 @@ def conv2d(x, weight, bias, stride=1, padding=0, label=None):
     def bwd(g):
         gmat = g.reshape(n, c_out, l)
         if bias.requires_grad:
-            accumulate_grad(bias, g.sum(axis=(0, 2, 3)))
+            accumulate_grad(bias, _channel_sum(gmat))
         if weight.requires_grad:
             gw = np.matmul(gmat, cols2.transpose(0, 2, 1)).sum(axis=0)
             accumulate_grad(weight, gw.reshape(weight.shape))
-        if x.requires_grad:
-            gcols = np.matmul(wmat.T[None], gmat).reshape(n, c_in, kh, kw, h_out, w_out)
-            gxp = np.zeros_like(xp)
+        if not x.requires_grad:
+            return
+        gcols = np.matmul(wmat.T[None], gmat)
+        if same and kh == 1:
+            gx = gcols.reshape(x.shape)
+        elif same:
+            # add each shifted row back in offset order, the padding pixels
+            # zeroed, so every sum rounds as in the strided scatter below
+            gflat = gcols.reshape(n, c_in, kh * kw, l)
+            ggrid = gcols.reshape(n, c_in, kh * kw, h, w)
+            gx = np.zeros((n, c_in, l), dtype=gcols.dtype)
+            for t, (s, lo, hi, edge) in enumerate(shifts):
+                ggrid[:, :, t, :, edge] = 0
+                gx[:, :, lo + s:hi + s] += gflat[:, :, t, lo:hi]
+            gx = gx.reshape(x.shape)
+        else:
+            gcols = gcols.reshape(n, c_in, kh, kw, h_out, w_out)
+            gx = np.zeros_like(xp)
             for i in range(kh):
                 for j in range(kw):
-                    gxp[:, :, i:i + stride * h_out:stride, j:j + stride * w_out:stride] += gcols[:, :, i, j]
+                    gx[:, :, i:i + stride * h_out:stride, j:j + stride * w_out:stride] += gcols[:, :, i, j]
             if padding > 0:
-                gxp = gxp[:, :, padding:padding + h, padding:padding + w]
-            accumulate_grad(x, gxp)
+                gx = gx[:, :, padding:padding + h, padding:padding + w]
+        _accumulate_owned(x, gx)
 
     return record("conv2d", (x, weight, bias), out, bwd, label)
 
@@ -109,43 +177,65 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, momentum=0.1,
     the running estimates in place: running <- (1 - momentum) * running +
     momentum * batch. Eval mode normalizes with the running estimates and
     never mutates them.
+
+    Both modes work in place on an (N, C, H*W) view: forward centers once,
+    scales and shifts one output buffer, and the train-mode input gradient
+    (gxhat - (sum(gxhat) + x_hat * sum(gxhat * x_hat)) / cnt) * invstd, with
+    gxhat = gamma * g and cnt = N*H*W, takes two buffers. Each value rounds
+    exactly as in the plain broadcast expressions, because float32 training
+    results (and the acceptance gates) move with any reassociation. Eval mode
+    keeps no x_hat; backward recomputes it when gamma needs a gradient.
     """
     _require(x.ndim == 4, f"batchnorm2d: input must be 4-d, got {x.shape}")
     n, c, h, w = x.shape
     _require(gamma.shape == (c,) and beta.shape == (c,),
              f"batchnorm2d: gamma/beta must be ({c},)")
+    count = n * h * w
+    xv = x.data.reshape(n, c, h * w)
     if training:
-        count = n * h * w
         _require(count >= 2,
                  f"batchnorm2d: train mode needs at least 2 values per channel, got {count}")
-        mean = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))
+        mean = _channel_sum(xv) / count
+        xhat = xv - mean[:, None]
+        # squared deviations go into the output buffer, overwritten below
+        out_data = np.multiply(xhat, xhat)
+        var = _channel_sum(out_data) / count
         running_mean *= 1.0 - momentum
         running_mean += momentum * mean
         running_var *= 1.0 - momentum
         running_var += momentum * var
+        invstd = 1.0 / np.sqrt(var + eps)
+        xhat *= invstd[:, None]
+        np.multiply(xhat, gamma.data[:, None], out=out_data)
     else:
-        mean = running_mean
-        var = running_var
-    invstd = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean[None, :, None, None]) * invstd[None, :, None, None]
-    out = Tensor(gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None])
+        mean = running_mean.copy()  # backward must see this call's statistics
+        invstd = 1.0 / np.sqrt(running_var + eps)
+        out_data = xv - mean[:, None]
+        out_data *= invstd[:, None]
+        out_data *= gamma.data[:, None]
+    out_data += beta.data[:, None]
+    out = Tensor(out_data.reshape(n, c, h, w))
 
     def bwd(g):
-        if beta.requires_grad:
-            accumulate_grad(beta, g.sum(axis=(0, 2, 3)))
-        if gamma.requires_grad:
-            accumulate_grad(gamma, (g * xhat).sum(axis=(0, 2, 3)))
-        if x.requires_grad:
-            gxhat = g * gamma.data[None, :, None, None]
-            if training:
-                cnt = n * h * w
-                s1 = gxhat.sum(axis=(0, 2, 3), keepdims=True)
-                s2 = (gxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
-                gx = (gxhat - (s1 + xhat * s2) / cnt) * invstd[None, :, None, None]
-            else:
-                gx = gxhat * invstd[None, :, None, None]
-            accumulate_grad(x, gx)
+        gv = g.reshape(n, c, h * w)
+        accumulate_grad(beta, _channel_sum(gv))
+        if training or gamma.requires_grad:
+            xh = xhat if training else (xv - mean[:, None]) * invstd[:, None]
+            buf = gv * xh
+            accumulate_grad(gamma, _channel_sum(buf))
+        if not x.requires_grad:
+            return
+        gx = gv * gamma.data[:, None]
+        if training:
+            s1 = _channel_sum(gx)
+            np.multiply(gx, xhat, out=buf)
+            s2 = _channel_sum(buf)
+            np.multiply(xhat, s2[:, None], out=buf)
+            buf += s1[:, None]
+            buf /= count
+            gx -= buf
+        gx *= invstd[:, None]
+        _accumulate_owned(x, gx.reshape(x.shape))
 
     return record("batchnorm2d", (x, gamma, beta), out, bwd, label)
 

@@ -45,57 +45,58 @@ def train(cfg, dataset=None, out_path=None, log_fn=None, target_loss=None):
     the epoch schedule, and clear gradients. One metrics dict per step is
     collected and passed to log_fn when given. With target_loss set, training
     stops once three consecutive step losses fall below it. The whole run is
-    deterministic in (config, dataset).
+    deterministic in (config, dataset). It runs in the config's precision and
+    restores the caller's precision on return or error.
     """
     cfg.validate()
-    T.set_precision(cfg.precision)
-    model = TextRecognizer(cfg)
-    model.train()
-    if dataset is None:
-        dataset = dataset_from_config(cfg)
-    order_rng = np.random.default_rng([cfg.seed, 17])
-    metrics = []
-    step = 0
-    recent = []
-    stop = False
-    for epoch in range(1, cfg.epochs + 1):
-        order = order_rng.permutation(len(dataset))
-        lr_scale = lr_scale_for_epoch(epoch)
-        for start in range(0, len(order), cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            images = stack_images([dataset.image(int(i)) for i in batch])
-            labels = [dataset.label(int(i)) for i in batch]
-            with Tape() as tape:
-                loss = model.loss(images, labels)
-                loss_val = loss.item()
-                if not np.isfinite(loss_val):
-                    node = tape.first_nonfinite()
-                    source = _describe(node) if node else "loss"
-                    raise NonFiniteError(f"non-finite loss at step {step + 1}: "
-                                         f"first non-finite tensor from {source}")
-                backward(loss, tape)
-            adadelta_step(model.params(), lr_scale=lr_scale)
-            zero_grad(model.params())
-            step += 1
-            line = {"step": step, "epoch": epoch, "loss": loss_val, "lr_scale": lr_scale}
-            metrics.append(line)
-            if log_fn:
-                log_fn(line)
-            if target_loss is not None:
-                recent.append(loss_val)
-                if len(recent) >= 3 and all(v < target_loss for v in recent[-3:]):
+    with T.precision(cfg.precision):
+        model = TextRecognizer(cfg)
+        model.train()
+        if dataset is None:
+            dataset = dataset_from_config(cfg)
+        order_rng = np.random.default_rng([cfg.seed, 17])
+        metrics = []
+        step = 0
+        recent = []
+        stop = False
+        for epoch in range(1, cfg.epochs + 1):
+            order = order_rng.permutation(len(dataset))
+            lr_scale = lr_scale_for_epoch(epoch)
+            for start in range(0, len(order), cfg.batch_size):
+                batch = order[start:start + cfg.batch_size]
+                images = stack_images([dataset.image(int(i)) for i in batch])
+                labels = [dataset.label(int(i)) for i in batch]
+                with Tape() as tape:
+                    loss = model.loss(images, labels)
+                    loss_val = loss.item()
+                    if not np.isfinite(loss_val):
+                        node = tape.first_nonfinite()
+                        source = _describe(node) if node else "loss"
+                        raise NonFiniteError(f"non-finite loss at step {step + 1}: "
+                                             f"first non-finite tensor from {source}")
+                    backward(loss, tape)
+                adadelta_step(model.params(), lr_scale=lr_scale)
+                zero_grad(model.params())
+                step += 1
+                line = {"step": step, "epoch": epoch, "loss": loss_val, "lr_scale": lr_scale}
+                metrics.append(line)
+                if log_fn:
+                    log_fn(line)
+                if target_loss is not None:
+                    recent.append(loss_val)
+                    if len(recent) >= 3 and all(v < target_loss for v in recent[-3:]):
+                        stop = True
+                if cfg.max_steps is not None and step >= cfg.max_steps:
                     stop = True
-            if cfg.max_steps is not None and step >= cfg.max_steps:
-                stop = True
+                if stop:
+                    break
             if stop:
                 break
-        if stop:
-            break
+            if out_path:
+                save_checkpoint(out_path, model)  # epoch-boundary snapshot
         if out_path:
-            save_checkpoint(out_path, model)  # epoch-boundary snapshot
-    if out_path:
-        save_checkpoint(out_path, model)
-    return TrainResult(model=model, metrics=metrics, checkpoint_path=out_path)
+            save_checkpoint(out_path, model)
+        return TrainResult(model=model, metrics=metrics, checkpoint_path=out_path)
 
 
 @dataclass
@@ -109,21 +110,21 @@ def evaluate(model, dataset, transform="none", batch_size=16):
     """Greedy-decode a dataset and score case-insensitive exact matches.
 
     The requested robustness transform is applied to each raw render before
-    preprocessing. Runs in eval mode and touches no parameter or running
-    statistic.
+    preprocessing. Runs in eval mode, restores each batch norm's mode on
+    return, and touches no parameter or running statistic.
     """
-    model.eval()
     predictions = []
     labels = []
-    for start in range(0, len(dataset), batch_size):
-        idxs = range(start, min(start + batch_size, len(dataset)))
-        imgs = []
-        for i in idxs:
-            raw = dataset.raw(i)
-            raw = apply_transform(raw, transform, seed=[dataset.seed(i), 1])
-            imgs.append(preprocess(raw))
-            labels.append(dataset.label(i))
-        predictions.extend(model.recognize(stack_images(imgs)))
+    with model.evaluating():
+        for start in range(0, len(dataset), batch_size):
+            idxs = range(start, min(start + batch_size, len(dataset)))
+            imgs = []
+            for i in idxs:
+                raw = dataset.raw(i)
+                raw = apply_transform(raw, transform, seed=[dataset.seed(i), 1])
+                imgs.append(preprocess(raw))
+                labels.append(dataset.label(i))
+            predictions.extend(model.recognize(stack_images(imgs)))
     hits = sum(p.casefold() == l.casefold() for p, l in zip(predictions, labels))
     return EvalResult(accuracy=hits / max(1, len(labels)),
                       predictions=predictions, labels=labels)

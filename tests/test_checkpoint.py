@@ -1,12 +1,17 @@
 """Checkpoint format: byte-stable round trips and corruption diagnostics."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
-from psan.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from psan.checkpoint import (MAGIC, VERSION, CheckpointError, load_checkpoint,
+                             save_checkpoint)
 from psan.config import ModelConfig
 from psan.model import TextRecognizer, stack_images
 from psan.tensor import Tensor
@@ -136,3 +141,58 @@ def test_rejects_corrupt_manifest_json(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(CheckpointError, match="corrupt manifest"):
         load_checkpoint(path)
+
+
+def write_raw_manifest(path, manifest):
+    blob = json.dumps(manifest).encode("utf-8")
+    path.write_bytes(MAGIC + bytes([VERSION]) + struct.pack("<I", len(blob)) + blob)
+
+
+def test_rejects_manifest_without_config_or_tensors(tmp_path):
+    path = tmp_path / "m.ckpt"
+    for manifest in ([], "x", {"tensors": []}, {"config": {}}, {"config": [], "tensors": []},
+                     {"config": {}, "tensors": {}}):
+        write_raw_manifest(path, manifest)
+        with pytest.raises(CheckpointError, match="manifest must be an object"):
+            load_checkpoint(path)
+
+    base = tmp_path / "base.ckpt"
+    save_checkpoint(base, messy_model())
+    for bad_entry in (lambda m: m["tensors"][0].pop("offset"),
+                      lambda m: m["tensors"].__setitem__(0, [1, 2]),
+                      lambda m: m["tensors"][0].update(offset="a"),
+                      lambda m: m["tensors"][0].update(offset=-4),
+                      lambda m: m["tensors"][0].update(shape=5)):
+        rewrite_manifest(base, path, bad_entry)
+        with pytest.raises(CheckpointError, match="malformed tensor entry"):
+            load_checkpoint(path)
+
+
+def test_failed_save_keeps_the_old_file(tmp_path):
+    """A save cut short by the file-size limit raises, leaves the previous
+    checkpoint byte-for-byte intact and leaves no temporary file behind."""
+    resource = pytest.importorskip("resource")
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, TextRecognizer(tiny_cfg(seed=1)))
+    old = path.read_bytes()
+    limit = len(old) // 2
+    script = textwrap.dedent(f"""
+        import resource, signal
+        from psan.checkpoint import save_checkpoint
+        from psan.config import ModelConfig
+        from psan.model import TextRecognizer
+        model = TextRecognizer(ModelConfig(**{tiny_cfg(seed=2).to_dict()!r}))
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, {limit}))
+        try:
+            save_checkpoint({str(path)!r}, model)
+        except OSError as exc:
+            print("failed", exc.errno)
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("failed"), proc.stdout
+    assert path.read_bytes() == old
+    assert sorted(os.listdir(tmp_path)) == ["m.ckpt"]

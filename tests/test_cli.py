@@ -1,11 +1,12 @@
 """Command-line surface: happy paths, wiring of flags, and exit codes."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
 
-from psan.checkpoint import load_checkpoint
+from psan.checkpoint import MAGIC, VERSION, load_checkpoint
 from psan.cli import main
 from psan.config import ModelConfig
 from psan.data import write_pgm
@@ -137,7 +138,7 @@ def test_robustness_covers_every_transform(workdir, capsys):
 def test_gradcheck_passes_curated_seeds(capsys):
     assert main(["gradcheck"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 21
+    assert len(lines) == 24
     assert all(l.endswith("OK") for l in lines)
 
 
@@ -150,6 +151,15 @@ def test_missing_checkpoint_is_runtime_error(capsys):
     assert main(["eval", "--checkpoint", "/nonexistent/m.ckpt"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_malformed_manifest_is_runtime_error(tmp_path, capsys):
+    path = tmp_path / "m.ckpt"
+    blob = json.dumps({"config": ModelConfig(**TINY).to_dict()}).encode("utf-8")
+    path.write_bytes(MAGIC + bytes([VERSION]) + struct.pack("<I", len(blob)) + blob)
+    assert main(["infer", "--checkpoint", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "manifest" in err and err.count("\n") == 1
 
 
 def test_precision_env_is_validated(monkeypatch, capsys):

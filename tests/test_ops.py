@@ -57,12 +57,60 @@ def test_conv2d_identity_kernel():
 
 def test_conv2d_matches_naive_oracle():
     rng = np.random.default_rng(2)
-    x = rng.standard_normal((2, 3, 5, 7))
-    w = rng.standard_normal((4, 3, 3, 3))
-    b = rng.standard_normal(4)
-    out = ops.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=2, padding=1)
-    ref = naive_conv2d(x, w, b, stride=2, padding=1)
-    assert np.abs(out.data - ref).max() < 1e-5
+    # a strided padded kernel, and unit-stride kernels that keep the size
+    for k, stride, padding in ((3, 2, 1), (1, 1, 0), (3, 1, 1), (5, 1, 2)):
+        x = rng.standard_normal((2, 3, 5, 7))
+        w = rng.standard_normal((4, 3, k, k))
+        b = rng.standard_normal(4)
+        out = ops.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding)
+        ref = naive_conv2d(x, w, b, stride=stride, padding=padding)
+        assert np.abs(out.data - ref).max() < 1e-5
+
+
+def reference_conv2d(x, w, b, g, stride, padding):
+    """Convolution and its gradients through strided im2col windows."""
+    n, cin, h, wd = x.shape
+    cout, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (wd + 2 * padding - kw) // stride + 1
+    cols = np.empty((n, cin, kh, kw, ho, wo), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
+    cols = cols.reshape(n, cin * kh * kw, ho * wo)
+    wmat = w.reshape(cout, -1)
+    out = np.matmul(wmat[None], cols) + b[:, None]
+    gmat = g.reshape(n, cout, ho * wo)
+    gw = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    gcols = np.matmul(wmat.T[None], gmat).reshape(n, cin, kh, kw, ho, wo)
+    gxp = np.zeros_like(xp)
+    for i in range(kh):
+        for j in range(kw):
+            gxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += gcols[:, :, i, j]
+    gx = gxp[:, :, padding:padding + h, padding:padding + wd]
+    return out.reshape(n, cout, ho, wo), gx, gw, g.sum(axis=(0, 2, 3))
+
+
+@pytest.mark.parametrize("shape,k,stride,padding", [
+    ((2, 3, 5, 7), 1, 1, 0), ((2, 3, 5, 7), 3, 1, 1), ((2, 2, 4, 3), 5, 1, 2),
+    ((1, 2, 1, 1), 3, 1, 1), ((2, 3, 5, 7), 3, 2, 1), ((2, 3, 4, 6), 1, 1, 1)])
+def test_conv2d_rounds_like_strided_im2col(shape, k, stride, padding):
+    """Every column-matrix layout rounds each value as the strided windows
+    do, so float32 training runs do not depend on which one a shape takes."""
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal(shape).astype(np.float32)
+    w = rng.standard_normal((4, shape[1], k, k)).astype(np.float32)
+    b = rng.standard_normal(4).astype(np.float32)
+    tx, tw, tb = (Tensor(a, requires_grad=True) for a in (x, w, b))
+    with Tape() as tape:
+        out = ops.conv2d(tx, tw, tb, stride=stride, padding=padding)
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        backward(sum_all(ops.mul(out, Tensor(g))), tape)
+    ref = reference_conv2d(x, w, b, g, stride, padding)
+    for got, want in zip((out.data, tx.grad, tw.grad, tb.grad), ref):
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, want)
 
 
 def test_conv2d_rejects_channel_mismatch_and_degenerate_output():
@@ -95,6 +143,57 @@ def test_batchnorm_eval_identity_stats():
     out = ops.batchnorm2d(x, Tensor(np.ones(3)), Tensor(np.zeros(3)),
                           np.zeros(3), np.ones(3), training=False)
     np.testing.assert_allclose(out.data, x.data, atol=1e-4)
+
+
+def test_batchnorm_eval_is_the_normalized_affine_map():
+    rng = np.random.default_rng(6)
+    with precision("f64"):
+        x = Tensor(rng.standard_normal((2, 3, 4, 5)) * 2 + 1)
+        gamma, beta = Tensor(rng.uniform(0.5, 1.5, 3)), Tensor(rng.standard_normal(3))
+        rm, rv = rng.standard_normal(3), rng.uniform(0.5, 2.0, 3)
+        out = ops.batchnorm2d(x, gamma, beta, rm, rv, eps=1e-5, training=False)
+    c = (slice(None), None, None)
+    ref = (x.data - rm[c]) / np.sqrt(rv[c] + 1e-5) * gamma.data[c] + beta.data[c]
+    assert out.data.dtype == np.float64
+    np.testing.assert_allclose(out.data, ref, rtol=0, atol=1e-12)
+
+
+def reference_batchnorm(x, g, gamma, beta, rm, rv, eps, training):
+    """Batch norm and its input gradient as plain 4-d broadcast expressions."""
+    c = (None, slice(None), None, None)
+    mean = x.mean(axis=(0, 2, 3)) if training else rm
+    var = x.var(axis=(0, 2, 3)) if training else rv
+    invstd = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean[c]) * invstd[c]
+    out = gamma[c] * xhat + beta[c]
+    gxhat = g * gamma[c]
+    if training:
+        cnt = x.size // x.shape[1]
+        s1 = gxhat.sum(axis=(0, 2, 3), keepdims=True)
+        s2 = (gxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
+        gx = (gxhat - (s1 + xhat * s2) / cnt) * invstd[c]
+    else:
+        gx = gxhat * invstd[c]
+    return out, gx, (g * xhat).sum(axis=(0, 2, 3)), g.sum(axis=(0, 2, 3))
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_batchnorm_rounds_like_the_broadcast_reference(training):
+    """The (N, C, H*W) kernel rounds every value in the same order as the
+    broadcast form, so float32 training runs do not depend on its layout."""
+    rng = np.random.default_rng(7)
+    f32 = lambda *shape: rng.standard_normal(shape).astype(np.float32)
+    x, g = f32(4, 5, 6, 7) * 3 + 1, f32(4, 5, 6, 7)
+    gamma, beta = rng.uniform(0.5, 1.5, 5).astype(np.float32), f32(5)
+    rm, rv = f32(5), rng.uniform(0.5, 2.0, 5).astype(np.float32)
+    tx, tg, tb = (Tensor(a, requires_grad=True) for a in (x, gamma, beta))
+    with Tape() as tape:
+        out = ops.batchnorm2d(tx, tg, tb, rm.copy(), rv.copy(), training=training)
+        backward(sum_all(ops.mul(out, Tensor(g))), tape)
+    ref = reference_batchnorm(x, g, gamma, beta, rm, rv, 1e-5, training)
+    for got, want in zip((out.data, tx.grad, tg.grad, tb.grad), ref):
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, want)
 
 
 def test_batchnorm_eval_never_mutates_running_stats():

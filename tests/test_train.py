@@ -1,6 +1,7 @@
 """Training loop and evaluation: determinism, schedule, abort diagnostics,
 checkpoint cadence, and the scoring rules."""
 
+import contextlib
 import sys
 
 import numpy as np
@@ -8,8 +9,10 @@ import pytest
 
 from psan.config import ModelConfig
 from psan.data import SyntheticDataset
+from psan.layers import BatchNorm2d
 from psan.model import TextRecognizer
-from psan.tensor import NonFiniteError, Parameter, Tensor, adadelta_step
+from psan.tensor import (NonFiniteError, Parameter, Tensor, adadelta_step,
+                         get_precision)
 from psan.train import (dataset_from_config, evaluate, lr_scale_for_epoch,
                         train)
 
@@ -92,6 +95,15 @@ def test_non_finite_loss_aborts_with_source():
         train(tiny_cfg(), dataset=NaNDataset())
 
 
+def test_training_restores_the_callers_precision():
+    res = train(tiny_cfg(precision="f64"))
+    assert res.model.decoder.cls.weight.value.data.dtype == np.float64
+    assert get_precision() == "f32"
+    with pytest.raises(NonFiniteError):
+        train(tiny_cfg(precision="f64"), dataset=NaNDataset())
+    assert get_precision() == "f32"
+
+
 def test_checkpoint_written_each_epoch_and_on_completion(tmp_path, monkeypatch):
     calls = []
     real = train_mod.save_checkpoint
@@ -124,8 +136,8 @@ class EchoUpper:
         self.cursor = 0
         self.batches = []
 
-    def eval(self):
-        pass
+    def evaluating(self):
+        return contextlib.nullcontext()
 
     def recognize(self, images):
         n = images.shape[0]
@@ -175,3 +187,17 @@ def test_evaluate_touches_no_state():
     for (name, old), (name2, new) in zip(before, model.state_entries()):
         assert name == name2
         np.testing.assert_array_equal(old, new, err_msg=name)
+
+
+def test_evaluate_restores_each_batch_norm_mode():
+    cfg = tiny_cfg()
+    model = TextRecognizer(cfg)
+    bns = [m for m in model.modules() if isinstance(m, BatchNorm2d)]
+    bns[0].training = False  # a mixed state must come back exactly
+    before = [m.training for m in bns]
+    seen = []
+    real = model.recognize
+    model.recognize = lambda images: (seen.append([m.training for m in bns]), real(images))[1]
+    evaluate(model, dataset_from_config(cfg, count=4))
+    assert seen and not any(any(flags) for flags in seen)
+    assert [m.training for m in bns] == before
