@@ -3,10 +3,11 @@
 Layout: 4 magic bytes "PSAN", one version byte, a 4-byte little-endian
 manifest length, the UTF-8 JSON manifest, then the raw little-endian float
 payload. The manifest carries the config snapshot and, for every state
-tensor, its name, shape, dtype, and byte offset into the payload. Entry
-order is the model's deterministic state order, so save -> load -> save is
-byte-identical. A save writes a temporary file beside the target and
-renames it over the target, so a failed save leaves the old file intact.
+tensor, its name, shape, dtype, and byte offset into the payload; the
+tensors tile the payload in order. Entry order is the model's deterministic
+state order, so save -> load -> save is byte-identical. A save writes a
+temporary file beside the target and renames it over the target, so a
+failed save leaves the old file intact.
 """
 
 import json
@@ -92,6 +93,7 @@ def load_checkpoint(path):
     if len(state) != len(manifest["tensors"]):
         raise CheckpointError(f"{path}: manifest has {len(manifest['tensors'])} tensors, "
                               f"model expects {len(state)}")
+    end = 0
     for entry in manifest["tensors"]:
         if not _well_formed(entry):
             raise CheckpointError(f"{path}: malformed tensor entry {entry!r}")
@@ -108,9 +110,13 @@ def load_checkpoint(path):
             raise CheckpointError(f"{path}: tensor {name!r} has unknown dtype "
                                   f"{entry['dtype']!r}")
         start = entry["offset"]
+        if start != end:
+            raise CheckpointError(f"{path}: tensor {name!r} starts at byte {start}, not {end}")
         end = start + int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
         if end > len(payload):
             raise CheckpointError(f"{path}: truncated payload for tensor {name!r}")
         values = np.frombuffer(payload[start:end], dtype=dtype).reshape(shape)
         arr[...] = values.astype(arr.dtype)
+    if end != len(payload):
+        raise CheckpointError(f"{path}: {len(payload) - end} bytes follow the last tensor")
     return model, cfg

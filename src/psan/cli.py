@@ -3,7 +3,8 @@
 Subcommands: gen-data, train, eval, infer, gradcheck, robustness. Errors
 come back as a single machine-parsable line on stderr ("error: <message>")
 with a nonzero exit code. The PSAN_PRECISION environment variable (f32 or
-f64) overrides the default float width before any work starts.
+f64) sets the float width for the one command; the caller's width is
+restored when main() returns.
 """
 
 import argparse
@@ -201,15 +202,14 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    mode = os.environ.get("PSAN_PRECISION")
-    if mode is not None:
-        if mode not in ("f32", "f64"):
-            print(f"error: PSAN_PRECISION must be f32 or f64, got {mode!r}", file=sys.stderr)
-            return 2
-        T.set_precision(mode)
+    mode = os.environ.get("PSAN_PRECISION", T.get_precision())
+    if mode not in ("f32", "f64"):
+        print(f"error: PSAN_PRECISION must be f32 or f64, got {mode!r}", file=sys.stderr)
+        return 2
     try:
         args = _make_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        with T.precision(mode):
+            return _COMMANDS[args.command](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,7 +8,7 @@ normalizes to [-1, 1], and right-pads to width 128.
 """
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -213,15 +213,6 @@ def apply_transform(img, name, seed=0):
     raise ValueError(f"unknown transform {name!r}, expected one of {TRANSFORMS}")
 
 
-@dataclass
-class SampleRecord:
-    index: int
-    label: str
-    seed: int
-    image: Tensor = None
-    meta: dict = field(default_factory=dict)
-
-
 class SyntheticDataset:
     """A reproducible corpus of rendered words.
 
@@ -275,11 +266,6 @@ class SyntheticDataset:
             img = preprocess(self.raw(i))
             self._cache[i] = img
         return img
-
-    def record(self, i):
-        idx, label, seed = self.records[i]
-        return SampleRecord(idx, label, seed, self.image(i),
-                            {"opts": self.opts})
 
     def write_manifest(self, path):
         with open(path, "w", encoding="utf-8") as f:

@@ -72,10 +72,10 @@ class Decoder(Module):
         return n, t
 
     def _step(self, channels, t, prev_indices, h):
-        emb = self.embed.forward(prev_indices)
+        emb = self.embed(prev_indices)
         inp = ops.concat([emb, ops.select_step(channels, t)], axis=1)
-        h = self.gru.forward(inp, h)
-        return h, self.cls.forward(h)
+        h = self.gru(inp, h)
+        return h, self.cls(h)
 
     def teacher_forced(self, channels, labels):
         """Teacher-forced pass; returns (mean nll loss, per-step logits list).
@@ -97,15 +97,16 @@ class Decoder(Module):
         steps = max(len(seq) for seq in targets)
         h = Tensor(np.zeros((n, self.hidden_size), dtype=default_dtype()))
         logits_seq = []
-        for t in range(steps):
-            if t == 0:
-                prev = np.full(n, self.charset.sos, dtype=np.int64)
-            else:
-                prev = np.array([seq[t - 1] if t - 1 < len(seq) else self.charset.eos
-                                 for seq in targets], dtype=np.int64)
-            h, logits = self._step(channels, t, prev, h)
-            logits_seq.append(logits)
-        loss = ops.sequence_nll(logits_seq, targets, label=self.name)
+        with self.scope():
+            for t in range(steps):
+                if t == 0:
+                    prev = np.full(n, self.charset.sos, dtype=np.int64)
+                else:
+                    prev = np.array([seq[t - 1] if t - 1 < len(seq) else self.charset.eos
+                                     for seq in targets], dtype=np.int64)
+                h, logits = self._step(channels, t, prev, h)
+                logits_seq.append(logits)
+            loss = ops.sequence_nll(logits_seq, targets)
         return loss, logits_seq
 
     def greedy(self, channels):
@@ -116,17 +117,18 @@ class Decoder(Module):
         prev = np.full(n, self.charset.sos, dtype=np.int64)
         done = np.zeros(n, dtype=bool)
         texts = [[] for _ in range(n)]
-        for t in range(t_total):
-            h, logits = self._step(channels, t, prev, h)
-            pred = logits.data.argmax(axis=1)
-            for i in range(n):
-                if done[i]:
-                    continue
-                if pred[i] == self.charset.eos:
-                    done[i] = True
-                else:
-                    texts[i].append(self.charset.chars[pred[i]])
-            if done.all():
-                break
-            prev = pred
+        with self.scope():
+            for t in range(t_total):
+                h, logits = self._step(channels, t, prev, h)
+                pred = logits.data.argmax(axis=1)
+                for i in range(n):
+                    if done[i]:
+                        continue
+                    if pred[i] == self.charset.eos:
+                        done[i] = True
+                    else:
+                        texts[i].append(self.charset.chars[pred[i]])
+                if done.all():
+                    break
+                prev = pred
         return ["".join(t) for t in texts]

@@ -50,9 +50,9 @@ class ResidualUnit(Module):
         self.bn3 = self.child(BatchNorm2d(f"{name}.bn3", channels))
 
     def forward(self, x):
-        y = ops.relu(self.bn1.forward(self.conv1.forward(x)))
-        y = ops.relu(self.bn2.forward(self.conv2.forward(y)))
-        y = self.bn3.forward(self.conv3.forward(y))
+        y = ops.relu(self.bn1(self.conv1(x)))
+        y = ops.relu(self.bn2(self.conv2(y)))
+        y = self.bn3(self.conv3(y))
         return ops.relu(ops.add(y, x))
 
 
@@ -66,7 +66,7 @@ class ResidualStructure(Module):
 
     def forward(self, x):
         for u in self.units:
-            x = u.forward(x)
+            x = u(x)
         return x
 
 
@@ -92,12 +92,12 @@ class VisualAttentionBlock(Module):
     def forward(self, x):
         y = x
         for blk in self.stack:
-            y = blk.forward(y)
-        sm = ops.sigmoid(self.score.forward(y), label=self.name)  # (N, 1, H, W) in (0, 1)
-        gated = ops.gate_multiply(x, sm, label=self.name)
+            y = blk(y)
+        sm = ops.sigmoid(self.score(y))  # (N, 1, H, W) in (0, 1)
+        gated = ops.gate_multiply(x, sm)
         self.last_sm = sm
         self.last_gated = gated
-        return self.out.forward(gated)
+        return self.out(gated)
 
 
 class PlainBranch(Module):
@@ -108,7 +108,7 @@ class PlainBranch(Module):
         self.block = self.child(ConvBNReLU(f"{name}.conv", channels, channels, 3, rng, padding=1))
 
     def forward(self, x):
-        return self.block.forward(x)
+        return self.block(x)
 
 
 class Transition(Module):
@@ -120,7 +120,7 @@ class Transition(Module):
                                            stride=2, padding=1))
 
     def forward(self, x):
-        return self.block.forward(x)
+        return self.block(x)
 
 
 class FusionBlock(Module):
@@ -169,10 +169,10 @@ class FusionBlock(Module):
                 if src < tgt:
                     y = feats[src]
                     for hop in self.down[(src, tgt)]:
-                        y = hop.forward(y)
+                        y = hop(y)
                 else:
                     blk, factor = self.up[(src, tgt)]
-                    y = ops.bilinear_upsample(blk.forward(feats[src]), factor)
+                    y = ops.bilinear_upsample(blk(feats[src]), factor)
                 total = ops.add(total, y)
             fused.append(total)
         return fused
@@ -216,7 +216,7 @@ class Encoder(Module):
             raise ValueError(f"stem: expected 3 input channels, got {c}")
         if h % 2 != 0 or w % 2 != 0:
             raise ValueError(f"stem: input dims must be even, got {h}x{w}")
-        return self.stem.forward(images)
+        return self.stem(images)
 
     def forward_scales(self, x):
         """Run the staged pipeline on stem output; returns one tensor per scale."""
@@ -226,13 +226,13 @@ class Encoder(Module):
         feats[0] = x
         for stage in range(1, k + 1):
             for i in range(stage):
-                feats[i] = self.rs[i][stage - 1 - i].forward(feats[i])
-            branch_out[stage - 1] = self.branch[stage - 1].forward(feats[stage - 1])
+                feats[i] = self.rs[i][stage - 1 - i](feats[i])
+            branch_out[stage - 1] = self.branch[stage - 1](feats[stage - 1])
             if stage >= 2:
-                feats[:stage] = self.fusions[stage - 2].forward(feats[:stage])
+                feats[:stage] = self.fusions[stage - 2](feats[:stage])
             if stage < k:
-                feats[stage] = self.transitions[stage - 1].forward(feats[stage - 1])
-        return tuple(ops.concat_channels([feats[i], branch_out[i]])
+                feats[stage] = self.transitions[stage - 1](feats[stage - 1])
+        return tuple(ops.concat([feats[i], branch_out[i]], axis=1)
                      for i in range(k))
 
     def forward(self, images):

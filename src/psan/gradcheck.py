@@ -175,7 +175,7 @@ def _check_bilinear_upsample(rng):
 def _check_concat(rng):
     a, b, c = _t(rng, 2, 3, 2, 2), _t(rng, 2, 1, 2, 2), _t(rng, 2, 2, 2, 2)
     proj = _t(rng, 2, 6, 2, 2)
-    fwd = lambda: _projected_sum(ops.concat_channels([a, b, c]), proj)
+    fwd = lambda: _projected_sum(ops.concat([a, b, c], axis=1), proj)
     return check_case(fwd, [a, b, c])
 
 
@@ -223,7 +223,7 @@ def _check_gru_cell(rng):
     cell = GRUCell("gc", 4, 5, rng)
     x, h, proj = _t(rng, 3, 4), _t(rng, 3, 5), _t(rng, 3, 5)
     wrt = [x, h] + [p.value for p in cell.params()]
-    return check_case(lambda: _projected_sum(cell.forward(x, h), proj), wrt)
+    return check_case(lambda: _projected_sum(cell(x, h), proj), wrt)
 
 
 def _check_sequence_nll(rng):
@@ -236,14 +236,14 @@ def _check_residual_unit(rng):
     ru = ResidualUnit("ru", 4, rng)
     x, proj = _t(rng, 2, 4, 3, 4), _t(rng, 2, 4, 3, 4)
     wrt = [x] + [p.value for p in ru.params()]
-    return check_case(lambda: _projected_sum(ru.forward(x), proj), wrt)
+    return check_case(lambda: _projected_sum(ru(x), proj), wrt)
 
 
 def _check_attention_block(rng):
     vab = VisualAttentionBlock("vab", 3, 2, rng)
     x, proj = _t(rng, 2, 3, 3, 4), _t(rng, 2, 3, 3, 4)
     wrt = [x] + [p.value for p in vab.params()]
-    return check_case(lambda: _projected_sum(vab.forward(x), proj), wrt)
+    return check_case(lambda: _projected_sum(vab(x), proj), wrt)
 
 
 def _check_merging_head(rng):
@@ -251,7 +251,7 @@ def _check_merging_head(rng):
     f1, f2 = _t(rng, 2, 4, 4, 8), _t(rng, 2, 8, 2, 4)
     proj = _t(rng, 2, 4, 8)
     wrt = [f1, f2] + [p.value for p in mh.params()]
-    return check_case(lambda: _projected_sum(mh.forward([f1, f2]), proj), wrt)
+    return check_case(lambda: _projected_sum(mh([f1, f2]), proj), wrt)
 
 
 def tiny_config():

@@ -10,7 +10,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import ops
-from .tensor import Parameter, Tensor, default_dtype
+from .tensor import Parameter, Tensor, active_tape, default_dtype
 
 
 def glorot_uniform(rng, shape, fan_in, fan_out):
@@ -20,12 +20,30 @@ def glorot_uniform(rng, shape, fan_in, fan_out):
 
 
 class Module:
-    """Minimal composite: tracks own parameters and child modules."""
+    """Minimal composite: tracks own parameters and child modules. Call a
+    module, not its `forward`: the call names the tape nodes it records."""
 
     def __init__(self, name):
         self.name = name
         self._params = []
         self._children = []
+
+    def __call__(self, *args):
+        if active_tape() is None:  # inference: skip the scope's generator
+            return self.forward(*args)
+        with self.scope():
+            return self.forward(*args)
+
+    @contextmanager
+    def scope(self):
+        """Stamp this module's dotted name on the tape nodes recorded inside."""
+        tape = active_tape()
+        scopes = tape.scopes if tape is not None else []  # no tape, no nodes
+        scopes.append(self.name)
+        try:
+            yield
+        finally:
+            scopes.pop()
 
     def param(self, leaf_name, value):
         p = Parameter(f"{self.name}.{leaf_name}", value)
@@ -82,7 +100,7 @@ class Conv2d(Module):
 
     def forward(self, x):
         return ops.conv2d(x, self.weight.value, self.bias.value,
-                          stride=self.stride, padding=self.padding, label=self.name)
+                          stride=self.stride, padding=self.padding)
 
 
 class BatchNorm2d(Module):
@@ -100,7 +118,7 @@ class BatchNorm2d(Module):
         return ops.batchnorm2d(x, self.gamma.value, self.beta.value,
                                self.running_mean, self.running_var,
                                momentum=self.momentum, eps=self.eps,
-                               training=self.training, label=self.name)
+                               training=self.training)
 
 
 class ConvBNReLU(Module):
@@ -113,7 +131,7 @@ class ConvBNReLU(Module):
         self.bn = self.child(BatchNorm2d(f"{name}.bn", c_out))
 
     def forward(self, x):
-        return ops.relu(self.bn.forward(self.conv.forward(x)))
+        return ops.relu(self.bn(self.conv(x)))
 
 
 class Linear(Module):
@@ -123,7 +141,7 @@ class Linear(Module):
         self.bias = self.param("bias", np.zeros(d_out, dtype=default_dtype()))
 
     def forward(self, x):
-        return ops.linear(x, self.weight.value, self.bias.value, label=self.name)
+        return ops.linear(x, self.weight.value, self.bias.value)
 
 
 class Embedding(Module):
@@ -132,10 +150,7 @@ class Embedding(Module):
         self.table = self.param("table", glorot_uniform(rng, (rows, dim), rows, dim))
 
     def forward(self, indices):
-        return ops.embedding(self.table.value, indices, label=self.name)
-
-    def lookup(self, idx):
-        return ops.embedding_lookup(self.table.value, idx, label=self.name)
+        return ops.embedding(self.table.value, indices)
 
 
 class GRUCell(Module):
@@ -156,4 +171,4 @@ class GRUCell(Module):
                                                   self.wh, self.uh, self.bh)))
 
     def forward(self, x, h_prev):
-        return ops.gru_cell(x, h_prev, self.weights(), label=self.name)
+        return ops.gru_cell(x, h_prev, self.weights())

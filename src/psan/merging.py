@@ -30,15 +30,15 @@ class MergingHead(Module):
         pooled = []
         for i, f in enumerate(feats):
             factor = 2 ** (k - 1 - i)
-            pooled.append(ops.maxpool2d(f, factor, label=self.name) if factor > 1 else f)
+            pooled.append(ops.maxpool2d(f, factor) if factor > 1 else f)
         deep_h, deep_w = pooled[-1].shape[2], pooled[-1].shape[3]
         for i, p in enumerate(pooled):
             if p.shape[2] != deep_h or p.shape[3] != deep_w:
                 raise ValueError(f"scale {i + 1} pooled to {p.shape[2]}x{p.shape[3]}, "
                                  f"expected {deep_h}x{deep_w}")
-        merged = ops.concat_channels(pooled, label=self.name)
-        y = ops.relu(self.bn.forward(self.conv.forward(merged)))
+        merged = ops.concat(pooled, axis=1)
+        y = ops.relu(self.bn(self.conv(merged)))
         self.last_map = y  # pre-flatten channel maps, kept for inspection
         n = y.shape[0]
         # Row-major flatten of each (H, W) channel map into one step vector.
-        return ops.reshape(y, (n, self.max_length, deep_h * deep_w), label=self.name)
+        return ops.reshape(y, (n, self.max_length, deep_h * deep_w))

@@ -35,7 +35,7 @@ class TextRecognizer(Module):
         if images.shape[2:] != self.input_hw:
             raise ValueError(f"model expects {self.input_hw[0]}x{self.input_hw[1]} "
                              f"images, got {images.shape[2]}x{images.shape[3]}")
-        return self.merge.forward(self.encoder.forward(images))
+        return self.merge(self.encoder(images))
 
     def loss(self, images, labels):
         loss, _ = self.decoder.teacher_forced(self.features(images), labels)

@@ -48,15 +48,6 @@ class kink_trace:
             kink_trace._active.margins.append(float(margin))
 
 
-def _accumulate_owned(t, g):
-    """accumulate_grad for a C-contiguous g that no other array shares: on
-    first touch g itself becomes t.grad, which saves a full-size copy."""
-    if t.requires_grad and t.grad is None and g.dtype == t.data.dtype and g.flags.c_contiguous:
-        t.grad = g
-    else:
-        accumulate_grad(t, g)
-
-
 def _channel_sum(a):
     """Per-channel sums of an (N, C, L) array."""
     return a.sum(axis=(0, 2))
@@ -83,7 +74,7 @@ def _same_shifts(k, p, h, w):
     return shifts
 
 
-def conv2d(x, weight, bias, stride=1, padding=0, label=None):
+def conv2d(x, weight, bias, stride=1, padding=0):
     """2-d cross-correlation with zero padding.
 
     x: (N, C_in, H, W), weight: (C_out, C_in, kh, kw), bias: (C_out,).
@@ -164,13 +155,13 @@ def conv2d(x, weight, bias, stride=1, padding=0, label=None):
                     gx[:, :, i:i + stride * h_out:stride, j:j + stride * w_out:stride] += gcols[:, :, i, j]
             if padding > 0:
                 gx = gx[:, :, padding:padding + h, padding:padding + w]
-        _accumulate_owned(x, gx)
+        accumulate_grad(x, gx)
 
-    return record("conv2d", (x, weight, bias), out, bwd, label)
+    return record("conv2d", (x, weight, bias), out, bwd)
 
 
 def batchnorm2d(x, gamma, beta, running_mean, running_var, momentum=0.1,
-                eps=1e-5, training=True, label=None):
+                eps=1e-5, training=True):
     """Per-channel batch normalization over the (N, H, W) axes.
 
     Train mode normalizes with biased batch statistics and folds them into
@@ -235,12 +226,12 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, momentum=0.1,
             buf /= count
             gx -= buf
         gx *= invstd[:, None]
-        _accumulate_owned(x, gx.reshape(x.shape))
+        accumulate_grad(x, gx.reshape(x.shape))
 
-    return record("batchnorm2d", (x, gamma, beta), out, bwd, label)
+    return record("batchnorm2d", (x, gamma, beta), out, bwd)
 
 
-def relu(x, label=None):
+def relu(x):
     if kink_trace._active is not None:
         kink_trace.report(np.abs(x.data).min())
     out = Tensor(np.maximum(x.data, 0))
@@ -248,10 +239,10 @@ def relu(x, label=None):
     def bwd(g):
         accumulate_grad(x, g * (out.data > 0))
 
-    return record("relu", (x,), out, bwd, label)
+    return record("relu", (x,), out, bwd)
 
 
-def sigmoid(x, label=None):
+def sigmoid(x):
     # Two-branch form keeps exp() off large positive arguments.
     d = x.data
     out_data = np.empty_like(d)
@@ -264,19 +255,19 @@ def sigmoid(x, label=None):
     def bwd(g):
         accumulate_grad(x, g * out.data * (1.0 - out.data))
 
-    return record("sigmoid", (x,), out, bwd, label)
+    return record("sigmoid", (x,), out, bwd)
 
 
-def tanh(x, label=None):
+def tanh(x):
     out = Tensor(np.tanh(x.data))
 
     def bwd(g):
         accumulate_grad(x, g * (1.0 - out.data * out.data))
 
-    return record("tanh", (x,), out, bwd, label)
+    return record("tanh", (x,), out, bwd)
 
 
-def maxpool2d(x, kernel, stride=None, label=None):
+def maxpool2d(x, kernel, stride=None):
     """Non-overlapping max pooling; kernel must equal stride and divide H, W.
 
     The backward pass routes each window's gradient to its argmax, first
@@ -313,7 +304,7 @@ def maxpool2d(x, kernel, stride=None, label=None):
               .reshape(n, c, h, w))
         accumulate_grad(x, gx)
 
-    return record("maxpool2d", (x,), out, bwd, label)
+    return record("maxpool2d", (x,), out, bwd)
 
 
 def interp_matrix(n_in, n_out, dtype):
@@ -347,7 +338,7 @@ def _cached_interp(n_in, n_out, dtype):
     return m
 
 
-def bilinear_upsample(x, factor, label=None):
+def bilinear_upsample(x, factor):
     """Bilinear upsampling by an integer factor (2, 4, or 8) on H and W."""
     _require(factor in (2, 4, 8), f"bilinear_upsample: unsupported factor {factor}")
     _require(x.ndim == 4, f"bilinear_upsample: input must be 4-d, got {x.shape}")
@@ -359,10 +350,10 @@ def bilinear_upsample(x, factor, label=None):
     def bwd(g):
         accumulate_grad(x, np.matmul(mh.T, np.matmul(g, mw)))
 
-    return record("bilinear_upsample", (x,), out, bwd, label)
+    return record("bilinear_upsample", (x,), out, bwd)
 
 
-def concat(xs, axis=1, label=None):
+def concat(xs, axis=1):
     """Concatenate tensors along one axis; all other dims must agree."""
     xs = list(xs)
     _require(len(xs) >= 1, "concat: need at least one tensor")
@@ -384,16 +375,10 @@ def concat(xs, axis=1, label=None):
             accumulate_grad(t, g[tuple(sl)])
             start += s
 
-    return record("concat", tuple(xs), out, bwd, label)
+    return record("concat", tuple(xs), out, bwd)
 
 
-def concat_channels(xs, label=None):
-    for t in xs:
-        _require(t.ndim == 4, f"concat_channels: inputs must be 4-d, got {t.shape}")
-    return concat(xs, axis=1, label=label)
-
-
-def gate_multiply(x, gate, label=None):
+def gate_multiply(x, gate):
     """Multiply (N, C, H, W) features by a single-channel (N, 1, H, W) map."""
     _require(x.ndim == 4 and gate.ndim == 4, "gate_multiply: inputs must be 4-d")
     n, c, h, w = x.shape
@@ -405,10 +390,10 @@ def gate_multiply(x, gate, label=None):
         accumulate_grad(x, g * gate.data)
         accumulate_grad(gate, (g * x.data).sum(axis=1, keepdims=True))
 
-    return record("gate_multiply", (x, gate), out, bwd, label)
+    return record("gate_multiply", (x, gate), out, bwd)
 
 
-def matmul(a, b, label=None):
+def matmul(a, b):
     _require(a.ndim == 2 and b.ndim == 2, "matmul: inputs must be 2-d")
     _require(a.shape[1] == b.shape[0], f"matmul: inner dims {a.shape} x {b.shape}")
     out = Tensor(a.data @ b.data)
@@ -417,10 +402,10 @@ def matmul(a, b, label=None):
         accumulate_grad(a, g @ b.data.T)
         accumulate_grad(b, a.data.T @ g)
 
-    return record("matmul", (a, b), out, bwd, label)
+    return record("matmul", (a, b), out, bwd)
 
 
-def linear(x, weight, bias, label=None):
+def linear(x, weight, bias):
     """Affine map: x (N, D_in) @ weight (D_in, D_out) + bias (D_out,)."""
     _require(x.ndim == 2, f"linear: input must be 2-d, got {x.shape}")
     _require(x.shape[1] == weight.shape[0],
@@ -433,10 +418,10 @@ def linear(x, weight, bias, label=None):
         accumulate_grad(weight, x.data.T @ g)
         accumulate_grad(bias, g.sum(axis=0))
 
-    return record("linear", (x, weight, bias), out, bwd, label)
+    return record("linear", (x, weight, bias), out, bwd)
 
 
-def softmax(x, label=None):
+def softmax(x):
     """Row-wise softmax over the last axis, max-shifted for stability."""
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
@@ -446,10 +431,10 @@ def softmax(x, label=None):
         s = out.data
         accumulate_grad(x, s * (g - (g * s).sum(axis=-1, keepdims=True)))
 
-    return record("softmax", (x,), out, bwd, label)
+    return record("softmax", (x,), out, bwd)
 
 
-def embedding_lookup(table, idx, label=None):
+def embedding_lookup(table, idx):
     """Fetch one row of an embedding table as a (E,) tensor."""
     v, _ = table.shape
     _require(0 <= idx < v, f"embedding_lookup: index {idx} out of range for {v} rows")
@@ -461,10 +446,10 @@ def embedding_lookup(table, idx, label=None):
             gt[idx] = g
             accumulate_grad(table, gt)
 
-    return record("embedding_lookup", (table,), out, bwd, label)
+    return record("embedding_lookup", (table,), out, bwd)
 
 
-def embedding(table, indices, label=None):
+def embedding(table, indices):
     """Batched row gather: indices (N,) -> (N, E). Repeats accumulate."""
     indices = np.asarray(indices, dtype=np.int64)
     v, _ = table.shape
@@ -479,10 +464,10 @@ def embedding(table, indices, label=None):
             np.add.at(gt, indices, g)
             accumulate_grad(table, gt)
 
-    return record("embedding", (table,), out, bwd, label)
+    return record("embedding", (table,), out, bwd)
 
 
-def select_step(x, t, label=None):
+def select_step(x, t):
     """Slice one time step from a (N, T, K) tensor -> (N, K)."""
     _require(x.ndim == 3, f"select_step: input must be 3-d, got {x.shape}")
     _require(0 <= t < x.shape[1], f"select_step: step {t} out of range {x.shape[1]}")
@@ -493,16 +478,16 @@ def select_step(x, t, label=None):
         gx[:, t, :] = g
         accumulate_grad(x, gx)
 
-    return record("select_step", (x,), out, bwd, label)
+    return record("select_step", (x,), out, bwd)
 
 
-def reshape(x, shape, label=None):
+def reshape(x, shape):
     out = Tensor(x.data.reshape(shape))
 
     def bwd(g):
         accumulate_grad(x, g.reshape(x.shape))
 
-    return record("reshape", (x,), out, bwd, label)
+    return record("reshape", (x,), out, bwd)
 
 
 @dataclass
@@ -519,7 +504,7 @@ class GruWeights:
     bh: Tensor
 
 
-def gru_cell(x, h_prev, p, label=None):
+def gru_cell(x, h_prev, p):
     """One GRU step, composed from primitive ops so the tape differentiates it.
 
         z = sigmoid(x wz + h uz + bz)        update gate
@@ -527,13 +512,13 @@ def gru_cell(x, h_prev, p, label=None):
         c = tanh(x wh + (r * h) uh + bh)     candidate state
         h' = (1 - z) * h + z * c             written as h + z * (c - h)
     """
-    z = sigmoid(add(linear(x, p.wz, p.bz), matmul(h_prev, p.uz)), label=label)
-    r = sigmoid(add(linear(x, p.wr, p.br), matmul(h_prev, p.ur)), label=label)
-    c = tanh(add(linear(x, p.wh, p.bh), matmul(mul(r, h_prev), p.uh)), label=label)
+    z = sigmoid(add(linear(x, p.wz, p.bz), matmul(h_prev, p.uz)))
+    r = sigmoid(add(linear(x, p.wr, p.br), matmul(h_prev, p.ur)))
+    c = tanh(add(linear(x, p.wh, p.bh), matmul(mul(r, h_prev), p.uh)))
     return add(h_prev, mul(z, sub(c, h_prev)))
 
 
-def sequence_nll(logits_seq, targets, label=None):
+def sequence_nll(logits_seq, targets):
     """Mean-over-batch of the per-sample summed negative log-likelihood.
 
     logits_seq is a list of (N, V) tensors, one per time step. targets is a
@@ -581,4 +566,4 @@ def sequence_nll(logits_seq, targets, label=None):
             glogits[~masks[t]] = 0.0
             accumulate_grad(lg, glogits * gs)
 
-    return record("sequence_nll", tuple(logits_seq), out, bwd, label)
+    return record("sequence_nll", tuple(logits_seq), out, bwd)

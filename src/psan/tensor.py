@@ -58,9 +58,9 @@ class Tensor:
     """A dense row-major array plus an optional accumulated gradient.
 
     `data` is always a C-contiguous numpy array in the default dtype unless
-    an explicit dtype is given. `grad` is allocated lazily by backward passes
-    and has the same shape and dtype as `data`. Tensors are treated as
-    write-once values everywhere except optimizer updates on leaf parameters.
+    an explicit dtype is given. `grad`, set by backward passes, matches `data`
+    in shape and dtype and may be shared, so it is replaced, never written.
+    Tensors are write-once values except for optimizer updates on parameters.
     """
 
     __slots__ = ("data", "grad", "requires_grad")
@@ -113,16 +113,17 @@ class Tensor:
 
 
 class _Node:
-    """One recorded operation: inputs, output, and the backward rule."""
+    """One recorded operation: inputs, output, the backward rule, and the
+    dotted name of the innermost module that was running (None outside any)."""
 
-    __slots__ = ("op", "inputs", "output", "backward", "label")
+    __slots__ = ("op", "inputs", "output", "backward", "scope")
 
-    def __init__(self, op, inputs, output, backward, label=None):
+    def __init__(self, op, inputs, output, backward, scope):
         self.op = op
         self.inputs = inputs
         self.output = output
         self.backward = backward
-        self.label = label
+        self.scope = scope
 
 
 _tape_stack = []
@@ -133,10 +134,12 @@ class Tape:
 
     Nodes are appended in execution order, which is by construction a valid
     topological order. A tape can be consumed by backward() exactly once.
+    `scopes` is the stack of entered module names; nodes get the innermost.
     """
 
     def __init__(self):
         self.nodes = []
+        self.scopes = []
         self.consumed = False
 
     def __enter__(self):
@@ -159,23 +162,26 @@ def active_tape():
     return _tape_stack[-1] if _tape_stack else None
 
 
-def record(op, inputs, out, backward, label=None):
+def record(op, inputs, out, backward):
     """Attach a node to the active tape if any input tracks gradients."""
     tape = active_tape()
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        tape.nodes.append(_Node(op, inputs, out, backward, label))
+        scope = tape.scopes[-1] if tape.scopes else None
+        tape.nodes.append(_Node(op, inputs, out, backward, scope))
     return out
 
 
 def accumulate_grad(t, g):
-    """Add g into t.grad, allocating on first touch. No-op for frozen tensors."""
+    """Add g into t.grad; no-op for frozen tensors. The first g is adopted
+    (cast only to change dtype) and later ones are added out of place, so
+    an array handed to several tensors (by add, say) is never written through."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.array(g, dtype=t.data.dtype, copy=True)
+        t.grad = g if g.dtype == t.data.dtype else g.astype(t.data.dtype)
     else:
-        t.grad += g
+        t.grad = t.grad + g
 
 
 def backward(loss, tape=None):
@@ -183,7 +189,8 @@ def backward(loss, tape=None):
 
     Visits nodes in exact reverse recording order, so every consumer of a
     tensor is processed before its producer and gradients of shared inputs
-    accumulate by summation. The tape is single-use.
+    accumulate by summation. A node's output gradient is dropped once its
+    rule has run, so only leaf tensors keep `.grad`. The tape is single-use.
     """
     tape = tape or active_tape()
     if tape is None:
@@ -201,6 +208,7 @@ def backward(loss, tape=None):
         if g is None:
             continue
         node.backward(g)
+        node.output.grad = None
 
 
 class Parameter:
@@ -230,12 +238,9 @@ class Parameter:
 
 
 def zero_grad(params):
-    """Reset every parameter gradient to zeros in place."""
+    """Give every parameter a fresh zero gradient."""
     for p in params:
-        if p.value.grad is None:
-            p.value.grad = np.zeros_like(p.value.data)
-        else:
-            p.value.grad.fill(0)
+        p.value.grad = np.zeros_like(p.value.data)
 
 
 def adadelta_step(params, rho=0.9, eps=1e-6, lr_scale=1.0):

@@ -33,7 +33,7 @@ class TrainResult:
 
 
 def _describe(node):
-    where = f" in {node.label!r}" if node.label else ""
+    where = f" in {node.scope!r}" if node.scope else ""
     return f"{node.op}{where}"
 
 

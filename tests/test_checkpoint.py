@@ -133,6 +133,21 @@ def test_rejects_manifest_mismatches(tmp_path):
         load_checkpoint(dropped)
 
 
+def test_rejects_payload_that_tensors_do_not_tile(tmp_path):
+    path = tmp_path / "base.ckpt"
+    save_checkpoint(path, messy_model())
+
+    appended = tmp_path / "tail.ckpt"
+    appended.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(CheckpointError, match="1 bytes follow the last tensor"):
+        load_checkpoint(appended)
+
+    overlap = tmp_path / "overlap.ckpt"
+    rewrite_manifest(path, overlap, lambda m: m["tensors"][1].update(offset=4))
+    with pytest.raises(CheckpointError, match="starts at byte 4"):
+        load_checkpoint(overlap)
+
+
 def test_rejects_corrupt_manifest_json(tmp_path):
     path = tmp_path / "cj.ckpt"
     save_checkpoint(path, messy_model())

@@ -10,6 +10,7 @@ from psan.checkpoint import MAGIC, VERSION, load_checkpoint
 from psan.cli import main
 from psan.config import ModelConfig
 from psan.data import write_pgm
+from psan.tensor import get_precision
 
 
 TINY = dict(channels=4, num_scales=2, rus_per_rs=1, vab_convs=1,
@@ -166,3 +167,9 @@ def test_precision_env_is_validated(monkeypatch, capsys):
     monkeypatch.setenv("PSAN_PRECISION", "f16")
     assert main(["gradcheck"]) == 2
     assert "PSAN_PRECISION" in capsys.readouterr().err
+
+
+def test_precision_env_applies_to_the_one_command(monkeypatch, tmp_path):
+    monkeypatch.setenv("PSAN_PRECISION", "f64")
+    assert main(["gen-data", "--out", str(tmp_path), "--count", "2"]) == 0
+    assert get_precision() == "f32"

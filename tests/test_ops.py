@@ -289,9 +289,9 @@ def test_concat_channels_layout_and_backward():
     with precision("f64"):
         a = Tensor(rng.standard_normal((1, 2, 4, 4)), requires_grad=True)
         b = Tensor(rng.standard_normal((1, 3, 4, 4)), requires_grad=True)
-        single = ops.concat_channels([a])
+        single = ops.concat([a], axis=1)
         np.testing.assert_array_equal(single.data, a.data)
-        out = ops.concat_channels([a, b])
+        out = ops.concat([a, b], axis=1)
         assert out.shape == (1, 5, 4, 4)
         np.testing.assert_array_equal(out.data[:, :2], a.data)
         np.testing.assert_array_equal(out.data[:, 2:], b.data)
@@ -299,15 +299,15 @@ def test_concat_channels_layout_and_backward():
         g = rng.standard_normal((1, 5, 4, 4))
         proj = Tensor(g)
         with Tape() as tape:
-            backward(sum_all(ops.mul(ops.concat_channels([a, b]), proj)), tape)
+            backward(sum_all(ops.mul(ops.concat([a, b], axis=1), proj)), tape)
     np.testing.assert_array_equal(a.grad, g[:, :2])
     np.testing.assert_array_equal(b.grad, g[:, 2:])
 
 
 def test_concat_rejects_mismatched_dims():
     with pytest.raises(ValueError):
-        ops.concat_channels([Tensor(np.zeros((1, 2, 4, 4))),
-                             Tensor(np.zeros((1, 2, 3, 4)))])
+        ops.concat([Tensor(np.zeros((1, 2, 4, 4))),
+                    Tensor(np.zeros((1, 2, 3, 4)))], axis=1)
 
 
 def test_gate_multiply_identity_zero_and_bound():

@@ -65,6 +65,20 @@ def test_shared_intermediate_accumulates():
     np.testing.assert_allclose(x.grad, expected, rtol=1e-12)
 
 
+def test_shared_gradient_array_is_never_written_through():
+    # add hands one gradient array to both inputs; adding a's second
+    # contribution in place would also change b's gradient to 2
+    a = Tensor([1.0], requires_grad=True)
+    b = Tensor([1.0], requires_grad=True)
+    with Tape():
+        c = ops.add(a, b)
+        loss = sum_all(ops.add(c, a))
+        backward(loss)
+    np.testing.assert_array_equal(a.grad, [2.0])
+    np.testing.assert_array_equal(b.grad, [1.0])
+    assert c.grad is None and loss.grad is None  # intermediates are dropped
+
+
 def test_backward_rejects_nonscalar_loss():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with Tape() as tape:
@@ -146,7 +160,7 @@ def test_tape_first_nonfinite_finds_earliest_bad_node():
     x = Tensor([1.0], requires_grad=True)
     with Tape() as tape:
         y = ops.mul(x, Tensor([np.inf]))
-        z = ops.relu(y, label="after")
+        z = ops.relu(y)
         sum_all(z)
     node = tape.first_nonfinite()
     assert node is not None and node.op == "mul"

@@ -95,6 +95,11 @@ def test_non_finite_loss_aborts_with_source():
         train(tiny_cfg(), dataset=NaNDataset())
 
 
+def test_non_finite_loss_names_the_module_scope():
+    with pytest.raises(NonFiniteError, match="conv2d in 'model.enc.stem.conv'"):
+        train(tiny_cfg(), dataset=NaNDataset())
+
+
 def test_training_restores_the_callers_precision():
     res = train(tiny_cfg(precision="f64"))
     assert res.model.decoder.cls.weight.value.data.dtype == np.float64
