@@ -18,6 +18,7 @@ import numpy as np
 
 from .config import ModelConfig
 from .model import TextRecognizer
+from .tensor import precision
 
 MAGIC = b"PSAN"
 VERSION = 1
@@ -67,7 +68,8 @@ def _well_formed(entry):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint and rebuild the model it describes."""
+    """Read a checkpoint and rebuild the model it describes, at the precision
+    its config names, whatever the caller's precision."""
     with open(path, "rb") as f:
         data = f.read()
     if len(data) < 9 or data[:4] != MAGIC:
@@ -88,7 +90,8 @@ def load_checkpoint(path):
     payload = data[9 + mlen:]
 
     cfg = ModelConfig.from_dict(manifest["config"])
-    model = TextRecognizer(cfg)
+    with precision(cfg.precision):  # the arrays take the checkpoint's dtype
+        model = TextRecognizer(cfg)
     state = dict(model.state_entries())
     if len(state) != len(manifest["tensors"]):
         raise CheckpointError(f"{path}: manifest has {len(manifest['tensors'])} tensors, "

@@ -6,7 +6,7 @@ from .decoder import DEFAULT_CHARSET, Decoder
 from .encoder import Encoder
 from .layers import BatchNorm2d, Module
 from .merging import MergingHead
-from .tensor import Tensor
+from .tensor import Tensor, precision
 
 
 class TextRecognizer(Module):
@@ -42,7 +42,9 @@ class TextRecognizer(Module):
         return loss
 
     def recognize(self, images):
-        return self.decoder.greedy(self.features(images))
+        """Greedy-decode a batch at the model's own precision."""
+        with precision(self.cfg.precision):
+            return self.decoder.greedy(self.features(images))
 
     def state_entries(self):
         """Ordered (name, array) pairs covering every piece of trainable and

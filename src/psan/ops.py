@@ -4,7 +4,9 @@ Every function takes and returns Tensors, computes forward with numpy, and
 registers its backward rule on the active tape. Convolution is one batched
 matmul over a column matrix: the input itself for a 1x1 kernel, flat shifted
 copies for other same-size stride-1 kernels, strided im2col windows
-otherwise. The naive direct form lives in the test suite as an oracle.
+otherwise. The naive direct form lives in the test suite as an oracle. A
+GRU step is one fused node that rounds every value as the primitive ops it
+replaces would; the composed form lives in the test suite as its reference.
 """
 
 from dataclasses import dataclass
@@ -53,9 +55,12 @@ def _channel_sum(a):
     return a.sum(axis=(0, 2))
 
 
+_shifts_cache = {}
+
+
 def _same_shifts(k, p, h, w):
     """Kernel offsets of a stride-1 convolution whose output keeps the input
-    size (k = 2p + 1), in (row, column) order.
+    size (k = 2p + 1), in (row, column) order, memoised per (k, p, h, w).
 
     For offset (i, j), output pixel q of the flattened H*W grid reads input
     pixel q + s with s = (i - p) * W + (j - p). Each entry is (s, lo, hi,
@@ -63,14 +68,19 @@ def _same_shifts(k, p, h, w):
     the output columns whose read wraps across a row end. Those columns and
     the pixels outside [lo, hi) are exactly the ones that read zero padding.
     """
-    l = h * w
-    shifts = []
-    for i in range(k):
-        for j in range(k):
-            s = (i - p) * w + (j - p)
-            edge = slice(0, min(w, p - j)) if j < p else slice(max(0, w - (j - p)), w)
-            lo = min(l, max(0, -s))
-            shifts.append((s, lo, max(lo, min(l, l - s)), edge))
+    key = (k, p, h, w)
+    shifts = _shifts_cache.get(key)
+    if shifts is None:
+        l = h * w
+        shifts = []
+        for i in range(k):
+            for j in range(k):
+                s = (i - p) * w + (j - p)
+                edge = slice(0, min(w, p - j)) if j < p else slice(max(0, w - (j - p)), w)
+                lo = min(l, max(0, -s))
+                shifts.append((s, lo, max(lo, min(l, l - s)), edge))
+        shifts = tuple(shifts)
+        _shifts_cache[key] = shifts
     return shifts
 
 
@@ -242,15 +252,21 @@ def relu(x):
     return record("relu", (x,), out, bwd)
 
 
-def sigmoid(x):
-    # Two-branch form keeps exp() off large positive arguments.
-    d = x.data
-    out_data = np.empty_like(d)
+def _sigmoid(d):
+    """Logistic function of an array, without masked gathers and scatters.
+
+    exp() only sees -|d|, so it never overflows. Each value, NaN payloads
+    included, rounds exactly as 1 / (1 + exp(-d)) where d >= 0 and as
+    exp(d) / (1 + exp(d)) elsewhere.
+    """
     pos = d >= 0
-    out_data[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ex = np.exp(d[~pos])
-    out_data[~pos] = ex / (1.0 + ex)
-    out = Tensor(out_data)
+    e = np.exp(np.where(pos, -d, d))
+    den = 1.0 + e
+    return np.where(pos, 1.0 / den, e / den)
+
+
+def sigmoid(x):
+    out = Tensor(_sigmoid(x.data))
 
     def bwd(g):
         accumulate_grad(x, g * out.data * (1.0 - out.data))
@@ -505,17 +521,57 @@ class GruWeights:
 
 
 def gru_cell(x, h_prev, p):
-    """One GRU step, composed from primitive ops so the tape differentiates it.
+    """One GRU step as a single tape node.
 
         z = sigmoid(x wz + h uz + bz)        update gate
         r = sigmoid(x wr + h ur + br)        reset gate
         c = tanh(x wh + (r * h) uh + bh)     candidate state
         h' = (1 - z) * h + z * c             written as h + z * (c - h)
+
+    Rounding-order rule: every value rounds exactly as when the step was
+    composed from linear, matmul, add, mul, sub, sigmoid and tanh nodes. Each
+    gate pre-activation is (x w + b) + h u; backward forms the same products
+    and hands every input and parameter its gradient contributions in the
+    order that composed tape did (h: the output, the -(g z) of c - h, the
+    reset product, then the r and z gates; x: the candidate, r and z gates),
+    because float32 training results move with any reassociation.
     """
-    z = sigmoid(add(linear(x, p.wz, p.bz), matmul(h_prev, p.uz)))
-    r = sigmoid(add(linear(x, p.wr, p.br), matmul(h_prev, p.ur)))
-    c = tanh(add(linear(x, p.wh, p.bh), matmul(mul(r, h_prev), p.uh)))
-    return add(h_prev, mul(z, sub(c, h_prev)))
+    _require(x.ndim == 2 and h_prev.ndim == 2, "gru_cell: inputs must be 2-d")
+    n, hidden = h_prev.shape
+    _require(x.shape[0] == n, f"gru_cell: batch mismatch {x.shape} vs {h_prev.shape}")
+    for w, u, b in ((p.wz, p.uz, p.bz), (p.wr, p.ur, p.br), (p.wh, p.uh, p.bh)):
+        _require(w.shape == (x.shape[1], hidden) and u.shape == (hidden, hidden)
+                 and b.shape == (hidden,),
+                 f"gru_cell: weights {w.shape}, {u.shape}, {b.shape} do not fit "
+                 f"input {x.shape} and hidden {h_prev.shape}")
+    xd, h = x.data, h_prev.data
+    z = _sigmoid((xd @ p.wz.data + p.bz.data) + h @ p.uz.data)
+    r = _sigmoid((xd @ p.wr.data + p.br.data) + h @ p.ur.data)
+    rh = r * h
+    c = np.tanh((xd @ p.wh.data + p.bh.data) + rh @ p.uh.data)
+    d = c - h
+    out = Tensor(h + z * d)
+
+    def bwd(g):
+        gz = g * z
+        accumulate_grad(h_prev, g)
+        accumulate_grad(h_prev, -gz)
+        ga = gz * (1.0 - c * c)  # candidate pre-activation
+        accumulate_grad(p.uh, rh.T @ ga)
+        grh = ga @ p.uh.data.T
+        accumulate_grad(h_prev, grh * r)
+        accumulate_grad(x, ga @ p.wh.data.T)
+        accumulate_grad(p.wh, xd.T @ ga)
+        accumulate_grad(p.bh, ga.sum(axis=0))
+        for ga, w, u, b in ((grh * h * r * (1.0 - r), p.wr, p.ur, p.br),
+                            (g * d * z * (1.0 - z), p.wz, p.uz, p.bz)):
+            accumulate_grad(h_prev, ga @ u.data.T)
+            accumulate_grad(u, h.T @ ga)
+            accumulate_grad(x, ga @ w.data.T)
+            accumulate_grad(w, xd.T @ ga)
+            accumulate_grad(b, ga.sum(axis=0))
+
+    return record("gru_cell", (x, h_prev) + tuple(vars(p).values()), out, bwd)
 
 
 def sequence_nll(logits_seq, targets):

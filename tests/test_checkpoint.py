@@ -14,7 +14,7 @@ from psan.checkpoint import (MAGIC, VERSION, CheckpointError, load_checkpoint,
                              save_checkpoint)
 from psan.config import ModelConfig
 from psan.model import TextRecognizer, stack_images
-from psan.tensor import Tensor
+from psan.tensor import Tensor, get_precision, precision
 from psan.train import train
 
 
@@ -27,9 +27,9 @@ def tiny_cfg(**kw):
     return ModelConfig(**base)
 
 
-def messy_model():
+def messy_model(**kw):
     """A model whose optimizer and batch-norm state is visibly non-default."""
-    model = TextRecognizer(tiny_cfg())
+    model = TextRecognizer(tiny_cfg(**kw))
     rng = np.random.default_rng(0)
     for name, arr in model.state_entries():
         if "accum" in name or "running" in name:
@@ -44,6 +44,32 @@ def test_save_load_save_is_byte_identical(tmp_path):
     assert cfg == tiny_cfg()
     save_checkpoint(second, loaded)
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_f64_checkpoint_round_trips_byte_identically_under_f32(tmp_path):
+    first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+    with precision("f64"):
+        save_checkpoint(first, messy_model(precision="f64"))
+    loaded, cfg = load_checkpoint(first)
+    assert get_precision() == "f32"
+    assert cfg.precision == "f64"
+    assert {arr.dtype for _, arr in loaded.state_entries()} == {np.dtype(np.float64)}
+    save_checkpoint(second, loaded)
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_f64_model_decodes_alike_under_either_precision():
+    with precision("f64"):
+        model = TextRecognizer(tiny_cfg(precision="f64"))
+    model.eval()
+    model.decoder.cls.bias.value.data[model.charset.eos] = -1e4  # decode every step
+    # float32 pixels, so both precisions see the same input values
+    pixels = np.random.default_rng(3).uniform(-1, 1, (3, 3, 32, 128)).astype(np.float32)
+    texts = model.recognize(Tensor(pixels))
+    assert get_precision() == "f32"
+    assert all(len(t) == model.cfg.max_length for t in texts)
+    with precision("f64"):
+        assert model.recognize(Tensor(pixels)) == texts
 
 
 def test_round_trip_preserves_state_and_predictions(tmp_path):

@@ -426,3 +426,10 @@ def test_sequence_nll_error_paths():
         ops.sequence_nll(steps, [[0, 1], [2]])
     with pytest.raises(ValueError, match="range"):
         ops.sequence_nll(steps, [[4], [0]])
+
+
+def test_same_size_shift_table_is_built_once_per_shape():
+    shifts = ops._same_shifts(3, 1, 4, 16)
+    assert ops._same_shifts(3, 1, 4, 16) is shifts
+    assert ops._same_shifts(3, 1, 4, 8) is not shifts
+    assert len(shifts) == 9 and shifts[4][:3] == (0, 0, 64)  # the centre tap reads in place
