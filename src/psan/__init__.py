@@ -12,8 +12,7 @@ from .encoder import Encoder, EncoderConfig
 from .merging import MergingHead
 from .model import TextRecognizer, stack_images
 from .tensor import (GradientError, NonFiniteError, Parameter, Tape, Tensor,
-                     adadelta_step, backward, finite_difference_grad, precision,
-                     set_precision, zero_grad)
+                     adadelta_step, backward, finite_difference_grad, zero_grad)
 from .train import evaluate, train
 
 __version__ = "0.1.0"
@@ -22,6 +21,6 @@ __all__ = [
     "Charset", "DEFAULT_CHARSET", "Decoder", "Encoder", "EncoderConfig",
     "GradientError", "MergingHead", "ModelConfig", "NonFiniteError",
     "Parameter", "Tape", "Tensor", "TextRecognizer", "adadelta_step",
-    "backward", "evaluate", "finite_difference_grad", "precision",
-    "set_precision", "stack_images", "train", "zero_grad", "__version__",
+    "backward", "evaluate", "finite_difference_grad", "stack_images",
+    "train", "zero_grad", "__version__",
 ]

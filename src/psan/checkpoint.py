@@ -18,7 +18,6 @@ import numpy as np
 
 from .config import ModelConfig
 from .model import TextRecognizer
-from .tensor import precision
 
 MAGIC = b"PSAN"
 VERSION = 1
@@ -69,7 +68,7 @@ def _well_formed(entry):
 
 def load_checkpoint(path):
     """Read a checkpoint and rebuild the model it describes, at the precision
-    its config names, whatever the caller's precision."""
+    its config names."""
     with open(path, "rb") as f:
         data = f.read()
     if len(data) < 9 or data[:4] != MAGIC:
@@ -90,8 +89,7 @@ def load_checkpoint(path):
     payload = data[9 + mlen:]
 
     cfg = ModelConfig.from_dict(manifest["config"])
-    with precision(cfg.precision):  # the arrays take the checkpoint's dtype
-        model = TextRecognizer(cfg)
+    model = TextRecognizer(cfg)  # the arrays take the checkpoint's dtype
     state = dict(model.state_entries())
     if len(state) != len(manifest["tensors"]):
         raise CheckpointError(f"{path}: manifest has {len(manifest['tensors'])} tensors, "

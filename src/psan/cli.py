@@ -3,8 +3,8 @@
 Subcommands: gen-data, train, eval, infer, gradcheck, robustness. Errors
 come back as a single machine-parsable line on stderr ("error: <message>")
 with a nonzero exit code. The PSAN_PRECISION environment variable (f32 or
-f64) sets the float width for the one command; the caller's width is
-restored when main() returns.
+f64) is checked for every command and, when set, overrides the precision
+of the config that `train` builds, like the override flags.
 """
 
 import argparse
@@ -13,11 +13,11 @@ import os
 import sys
 
 from . import gradcheck as gradcheck_mod
-from . import tensor as T
 from .checkpoint import load_checkpoint
 from .config import ModelConfig
-from .data import TRANSFORMS, RenderOptions, SyntheticDataset, preprocess, read_pgm
+from .data import TRANSFORMS, SyntheticDataset, preprocess, read_pgm
 from .model import stack_images
+from .tensor import NonFiniteError
 from .train import evaluate, train
 
 
@@ -48,6 +48,7 @@ def _build_config(args):
         "vab_convs": getattr(args, "vab_convs", None),
         "max_length": getattr(args, "max_length", None),
         "seed": getattr(args, "seed", None),
+        "precision": os.environ.get("PSAN_PRECISION"),
     }
     for key, val in overrides.items():
         if val is not None:
@@ -103,18 +104,18 @@ def _make_parser():
 
 def _eval_dataset(args, cfg):
     if getattr(args, "manifest", None):
-        return SyntheticDataset.from_manifest(args.manifest)
-    opts = RenderOptions(noise=cfg.noise, shear_deg=cfg.shear_deg)
+        return SyntheticDataset.from_manifest(args.manifest, opts=cfg.render_options())
     return SyntheticDataset(args.count, [args.seed, 2], cfg.alphabet,
                             min_len=cfg.label_min_len, max_len=cfg.label_max_len,
-                            opts=opts)
+                            opts=cfg.render_options())
 
 
 def _cmd_gen_data(args):
     cfg = ModelConfig.load(args.config) if args.config else ModelConfig()
     os.makedirs(args.out, exist_ok=True)
     ds = SyntheticDataset(args.count, args.seed, cfg.alphabet,
-                          min_len=cfg.label_min_len, max_len=cfg.label_max_len)
+                          min_len=cfg.label_min_len, max_len=cfg.label_max_len,
+                          opts=cfg.render_options())
     manifest = os.path.join(args.out, "manifest.tsv")
     ds.write_manifest(manifest)
     if args.export_pgm:
@@ -125,7 +126,8 @@ def _cmd_gen_data(args):
 
 def _cmd_train(args):
     cfg = _build_config(args)
-    dataset = SyntheticDataset.from_manifest(args.manifest) if args.manifest else None
+    dataset = (SyntheticDataset.from_manifest(args.manifest, opts=cfg.render_options())
+               if args.manifest else None)
     log_file = open(args.log, "w", encoding="utf-8") if args.log else None
     try:
         def log_fn(line):
@@ -158,7 +160,7 @@ def _cmd_infer(args):
     if args.image:
         raw = read_pgm(args.image)
     else:
-        ds = SyntheticDataset.from_manifest(args.manifest)
+        ds = SyntheticDataset.from_manifest(args.manifest, opts=cfg.render_options())
         if not 0 <= args.index < len(ds):
             raise CliError(f"index {args.index} out of range for {len(ds)} samples")
         raw = ds.raw(args.index)
@@ -201,18 +203,17 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    mode = os.environ.get("PSAN_PRECISION", T.get_precision())
+    mode = os.environ.get("PSAN_PRECISION", "f32")
     if mode not in ("f32", "f64"):
         print(f"error: PSAN_PRECISION must be f32 or f64, got {mode!r}", file=sys.stderr)
         return 2
     try:
         args = _make_parser().parse_args(argv)
-        with T.precision(mode):
-            return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, RuntimeError, T.NonFiniteError) as exc:
+    except (ValueError, OSError, RuntimeError, NonFiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

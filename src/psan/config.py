@@ -4,6 +4,7 @@ import json
 import string
 from dataclasses import asdict, dataclass, fields
 
+from .data import RenderOptions
 from .decoder import DEFAULT_CHARSET
 from .encoder import EncoderConfig
 
@@ -64,6 +65,11 @@ class ModelConfig:
         return EncoderConfig(base_channels=self.channels, num_scales=self.num_scales,
                              rus_per_rs=self.rus_per_rs, vab_enabled=self.vab_enabled,
                              vab_convs=self.vab_convs)
+
+    def render_options(self):
+        """The rendering knobs this config sets; every corpus built for it
+        (fresh draws or a manifest) renders with these."""
+        return RenderOptions(noise=self.noise, shear_deg=self.shear_deg)
 
     def to_dict(self):
         return asdict(self)

@@ -127,7 +127,8 @@ def resize_bilinear(img, out_h, out_w):
 
 def preprocess(img):
     """Resize to height 32 (aspect-preserving, width capped at 128),
-    normalize to [-1, 1], right-pad with zeros to width 128.
+    normalize to [-1, 1], right-pad with zeros to width 128. The result is
+    float32 for every model; a float64 model widens it in `features()`.
 
     Input with any negative value is taken as already normalized and only
     geometry is applied, which makes the function idempotent on conforming
@@ -330,6 +331,8 @@ def read_pgm(path):
     w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
     if maxval != 255:
         raise ValueError(f"{path}: only maxval 255 is supported")
+    if w < 1 or h < 1:
+        raise ValueError(f"{path}: image is {w}x{h}, need at least 1x1")
     pos += 1  # single whitespace byte after maxval
     pixels = np.frombuffer(data[pos:pos + h * w], dtype=np.uint8)
     if pixels.size != h * w:

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import ops
 from .layers import Embedding, GRUCell, Linear, Module
-from .tensor import Tensor, default_dtype
+from .tensor import Tensor
 
 
 class Charset:
@@ -95,7 +95,7 @@ class Decoder(Module):
                                  f"decoder has {t_total}")
             targets.append(seq + [self.charset.eos])
         steps = max(len(seq) for seq in targets)
-        h = Tensor(np.zeros((n, self.hidden_size), dtype=default_dtype()))
+        h = Tensor(np.zeros((n, self.hidden_size)), dtype=channels.data.dtype)
         logits_seq = []
         with self.scope():
             for t in range(steps):
@@ -113,7 +113,7 @@ class Decoder(Module):
         """Greedy decode: argmax each step (ties to the lowest index), stop at
         eos or after max_length steps; eos is not part of the returned text."""
         n, t_total = self._check_channels(channels)
-        h = Tensor(np.zeros((n, self.hidden_size), dtype=default_dtype()))
+        h = Tensor(np.zeros((n, self.hidden_size)), dtype=channels.data.dtype)
         prev = np.full(n, self.charset.sos, dtype=np.int64)
         done = np.zeros(n, dtype=bool)
         texts = [[] for _ in range(n)]

@@ -76,8 +76,9 @@ class VisualAttentionBlock(Module):
     A stack of channel-preserving 3x3 conv+BN+ReLU layers feeds a bare 1x1
     single-filter conv whose sigmoid becomes the saliency map. The map gates
     the block's *input*, and a final 3x3 conv+BN+ReLU keeps the channel count
-    unchanged. The most recent saliency map and gated tensor are kept on the
-    instance for inspection (single-writer; not thread safe).
+    unchanged. Forward keeps nothing on the instance: under a tape the
+    saliency map and the gated tensor are the outputs of the `sigmoid` and
+    `gate_multiply` nodes stamped with this block's scope.
     """
 
     def __init__(self, name, channels, n_convs, rng):
@@ -86,18 +87,13 @@ class VisualAttentionBlock(Module):
                       for i in range(n_convs)]
         self.score = self.child(Conv2d(f"{name}.score", channels, 1, 1, rng))
         self.out = self.child(ConvBNReLU(f"{name}.out", channels, channels, 3, rng, padding=1))
-        self.last_sm = None
-        self.last_gated = None
 
     def forward(self, x):
         y = x
         for blk in self.stack:
             y = blk(y)
         sm = ops.sigmoid(self.score(y))  # (N, 1, H, W) in (0, 1)
-        gated = ops.gate_multiply(x, sm)
-        self.last_sm = sm
-        self.last_gated = gated
-        return self.out(gated)
+        return self.out(ops.gate_multiply(x, sm))
 
 
 class PlainBranch(Module):

@@ -11,13 +11,13 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import ops
-from .tensor import Parameter, Tensor, active_tape, default_dtype
+from .tensor import Parameter, Tensor, active_tape
 
 
 def glorot_uniform(rng, shape, fan_in, fan_out):
-    """Zero-mean uniform init with bound sqrt(6 / (fan_in + fan_out))."""
+    """Zero-mean float32 uniform init with bound sqrt(6 / (fan_in + fan_out))."""
     bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape).astype(default_dtype())
+    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
 
 class Module:
@@ -68,6 +68,23 @@ class Module:
         for c in self._children:
             yield from c.modules()
 
+    def astype(self, dtype):
+        """Convert every value of the subtree in place to dtype: parameters,
+        their gradients and ADADELTA accumulators, and batch-norm running
+        statistics. Layers build in float32; a float64 model is that model
+        widened, so both widths of one seed start from the same weights."""
+        for p in self.params():
+            v = p.value
+            v.data = v.data.astype(dtype)
+            if v.grad is not None:
+                v.grad = v.grad.astype(dtype)
+            p.accum_grad_sq = p.accum_grad_sq.astype(dtype)
+            p.accum_update_sq = p.accum_update_sq.astype(dtype)
+        for m in self.batchnorms:
+            m.running_mean = m.running_mean.astype(dtype)
+            m.running_var = m.running_var.astype(dtype)
+        return self
+
     def set_training(self, flag):
         for m in self.batchnorms:
             m.training = flag
@@ -99,7 +116,7 @@ class Conv2d(Module):
         fan_in = c_in * kernel * kernel
         fan_out = c_out * kernel * kernel
         self.weight = self.param("weight", glorot_uniform(rng, (c_out, c_in, kernel, kernel), fan_in, fan_out))
-        self.bias = self.param("bias", np.zeros(c_out, dtype=default_dtype()))
+        self.bias = self.param("bias", np.zeros(c_out, dtype=np.float32))
 
     def forward(self, x):
         return ops.conv2d(x, self.weight.value, self.bias.value,
@@ -113,10 +130,10 @@ class BatchNorm2d(Module):
         self.eps = eps
         self.training = True
         self.batchnorms = [self]
-        self.gamma = self.param("gamma", np.ones(channels, dtype=default_dtype()))
-        self.beta = self.param("beta", np.zeros(channels, dtype=default_dtype()))
-        self.running_mean = np.zeros(channels, dtype=default_dtype())
-        self.running_var = np.ones(channels, dtype=default_dtype())
+        self.gamma = self.param("gamma", np.ones(channels, dtype=np.float32))
+        self.beta = self.param("beta", np.zeros(channels, dtype=np.float32))
+        self.running_mean = np.zeros(channels, dtype=np.float32)
+        self.running_var = np.ones(channels, dtype=np.float32)
 
     def forward(self, x):
         return ops.batchnorm2d(x, self.gamma.value, self.beta.value,
@@ -162,7 +179,7 @@ class Linear(Module):
     def __init__(self, name, d_in, d_out, rng):
         super().__init__(name)
         self.weight = self.param("weight", glorot_uniform(rng, (d_in, d_out), d_in, d_out))
-        self.bias = self.param("bias", np.zeros(d_out, dtype=default_dtype()))
+        self.bias = self.param("bias", np.zeros(d_out, dtype=np.float32))
 
     def forward(self, x):
         return ops.linear(x, self.weight.value, self.bias.value)
@@ -182,7 +199,7 @@ class GRUCell(Module):
 
     def __init__(self, name, d_in, d_hidden, rng):
         super().__init__(name)
-        z = np.zeros(d_hidden, dtype=default_dtype())
+        z = np.zeros(d_hidden, dtype=np.float32)
         mk_w = lambda leaf: self.param(leaf, glorot_uniform(rng, (d_in, d_hidden), d_in, d_hidden))
         mk_u = lambda leaf: self.param(leaf, glorot_uniform(rng, (d_hidden, d_hidden), d_hidden, d_hidden))
         self.wz, self.uz, self.bz = mk_w("wz"), mk_u("uz"), self.param("bz", z.copy())

@@ -38,7 +38,6 @@ class MergingHead(Module):
                                  f"expected {deep_h}x{deep_w}")
         merged = ops.concat(pooled, axis=1)
         y = ops.relu(conv_bn(self.conv, self.bn, merged))
-        self.last_map = y  # pre-flatten channel maps, kept for inspection
         n = y.shape[0]
         # Row-major flatten of each (H, W) channel map into one step vector.
         return ops.reshape(y, (n, self.max_length, deep_h * deep_w))

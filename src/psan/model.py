@@ -6,7 +6,7 @@ from .decoder import DEFAULT_CHARSET, Decoder
 from .encoder import Encoder
 from .layers import Module
 from .merging import MergingHead
-from .tensor import Tensor, precision
+from .tensor import Tensor
 
 
 class TextRecognizer(Module):
@@ -29,12 +29,18 @@ class TextRecognizer(Module):
         self.decoder = self.child(Decoder(f"{name}.dec", self.charset, self.channel_dim,
                                           rng, hidden_size=cfg.hidden_size,
                                           embedding_dim=cfg.embedding_dim))
+        if cfg.precision == "f64":
+            self.astype(np.float64)
 
     def features(self, images):
-        """(N, 3, H, W) images -> (N, max_length, K) per-step channels."""
+        """(N, 3, H, W) images -> (N, max_length, K) per-step channels, in
+        the model's dtype. Images of another dtype are converted first."""
         if images.shape[2:] != self.input_hw:
             raise ValueError(f"model expects {self.input_hw[0]}x{self.input_hw[1]} "
                              f"images, got {images.shape[2]}x{images.shape[3]}")
+        dtype = self.merge.conv.weight.value.data.dtype
+        if images.data.dtype != dtype:
+            images = Tensor(images.data, dtype=dtype)
         return self.merge(self.encoder(images))
 
     def loss(self, images, labels):
@@ -42,10 +48,10 @@ class TextRecognizer(Module):
         return loss
 
     def recognize(self, images):
-        """Greedy-decode a batch at the model's own precision, in eval mode.
-        Each batch norm's own mode is restored after, so a model fresh from
-        training keeps its running statistics and its mode."""
-        with precision(self.cfg.precision), self.evaluating():
+        """Greedy-decode a batch in eval mode. Each batch norm's own mode is
+        restored after, so a model fresh from training keeps its running
+        statistics and its mode."""
+        with self.evaluating():
             return self.decoder.greedy(self.features(images))
 
     def state_entries(self):
@@ -63,5 +69,6 @@ class TextRecognizer(Module):
 
 
 def stack_images(tensors):
-    """Stack per-sample (3, H, W) tensors into one (N, 3, H, W) batch tensor."""
+    """Stack per-sample (3, H, W) tensors into one float32 (N, 3, H, W) batch,
+    the pixel width `preprocess` produces for every model."""
     return Tensor(np.stack([t.data if isinstance(t, Tensor) else t for t in tensors]))

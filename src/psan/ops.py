@@ -1,7 +1,9 @@
 """Differentiable building blocks for the recognizer.
 
 Every function takes and returns Tensors, computes forward with numpy, and
-registers its backward rule on the active tape. Convolution is one batched
+registers its backward rule on the active tape. An output takes the dtype
+of the op's primary input: its first tensor, the table for `embedding`,
+`h_prev` for `gru_cell`. Convolution is one batched
 matmul over a column matrix: the input itself for a 1x1 kernel, flat shifted
 copies for other same-size stride-1 kernels, strided im2col windows
 otherwise. The naive direct form lives in the test suite as an oracle. A
@@ -13,41 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, record, accumulate_grad
+from .tensor import Tensor, accumulate_grad, active_tape, record
 from .tensor import add, sub, mul, scale, sum_all  # noqa: F401  (re-exported)
 
 
 def _require(cond, msg):
     if not cond:
         raise ValueError(msg)
-
-
-class kink_trace:
-    """Collects, for every relu/maxpool run inside the context, the distance
-    to the nearest non-differentiable point (zero crossing, argmax tie).
-
-    Finite-difference probes are only valid when these margins comfortably
-    exceed the probe epsilon; the gradient checker uses this to certify its
-    probe points instead of silently comparing garbage at a kink.
-    """
-
-    _active = None
-
-    def __init__(self):
-        self.margins = []
-
-    def __enter__(self):
-        kink_trace._active = self
-        return self
-
-    def __exit__(self, *exc):
-        kink_trace._active = None
-        return False
-
-    @staticmethod
-    def report(margin):
-        if kink_trace._active is not None:
-            kink_trace._active.margins.append(float(margin))
 
 
 def _channel_sum(a):
@@ -133,7 +107,7 @@ def conv2d(x, weight, bias, stride=1, padding=0):
     wmat = weight.data.reshape(c_out, c_in * kh * kw)
     out_data = np.matmul(wmat[None], cols2)  # (N, C_out, L)
     out_data += bias.data[:, None]
-    out = Tensor(out_data.reshape(n, c_out, h_out, w_out))
+    out = Tensor(out_data.reshape(n, c_out, h_out, w_out), dtype=x.data.dtype)
 
     def bwd(g):
         gmat = g.reshape(n, c_out, l)
@@ -215,7 +189,7 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, momentum=0.1,
         out_data *= invstd[:, None]
         out_data *= gamma.data[:, None]
     out_data += beta.data[:, None]
-    out = Tensor(out_data.reshape(n, c, h, w))
+    out = Tensor(out_data.reshape(n, c, h, w), dtype=x.data.dtype)
 
     def bwd(g):
         gv = g.reshape(n, c, h * w)
@@ -242,9 +216,10 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, momentum=0.1,
 
 
 def relu(x):
-    if kink_trace._active is not None:
-        kink_trace.report(np.abs(x.data).min())
-    out = Tensor(np.maximum(x.data, 0))
+    tape = active_tape()
+    if tape is not None and tape.margins is not None:
+        tape.margins.append(float(np.abs(x.data).min()))
+    out = Tensor(np.maximum(x.data, 0), dtype=x.data.dtype)
 
     def bwd(g):
         accumulate_grad(x, g * (out.data > 0))
@@ -266,7 +241,7 @@ def _sigmoid(d):
 
 
 def sigmoid(x):
-    out = Tensor(_sigmoid(x.data))
+    out = Tensor(_sigmoid(x.data), dtype=x.data.dtype)
 
     def bwd(g):
         accumulate_grad(x, g * out.data * (1.0 - out.data))
@@ -275,7 +250,7 @@ def sigmoid(x):
 
 
 def tanh(x):
-    out = Tensor(np.tanh(x.data))
+    out = Tensor(np.tanh(x.data), dtype=x.data.dtype)
 
     def bwd(g):
         accumulate_grad(x, g * (1.0 - out.data * out.data))
@@ -299,16 +274,18 @@ def maxpool2d(x, kernel, stride=None):
     windows = (x.data.reshape(n, c, ho, kernel, wo, kernel)
                .transpose(0, 1, 2, 4, 3, 5)
                .reshape(n, c, ho, wo, kernel * kernel))
-    if kink_trace._active is not None and windows.shape[-1] >= 2:
+    tape = active_tape()
+    if tape is not None and tape.margins is not None and windows.shape[-1] >= 2:
         top2 = np.partition(windows, windows.shape[-1] - 2, axis=-1)
         gap = top2[..., -1] - top2[..., -2]
         # a window whose two largest entries are both exactly zero is a tie
         # between relu-clamped values: locally constant, not a kink
         live = ~((top2[..., -1] == 0.0) & (top2[..., -2] == 0.0))
         if live.any():
-            kink_trace.report(gap[live].min())
+            tape.margins.append(float(gap[live].min()))
     idx = windows.argmax(axis=-1)
-    out = Tensor(np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0])
+    out = Tensor(np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0],
+                 dtype=x.data.dtype)
 
     def bwd(g):
         if not x.requires_grad:
@@ -361,7 +338,7 @@ def bilinear_upsample(x, factor):
     n, c, h, w = x.shape
     mh = _cached_interp(h, h * factor, x.data.dtype)
     mw = _cached_interp(w, w * factor, x.data.dtype)
-    out = Tensor(np.matmul(mh, np.matmul(x.data, mw.T)))
+    out = Tensor(np.matmul(mh, np.matmul(x.data, mw.T)), dtype=x.data.dtype)
 
     def bwd(g):
         accumulate_grad(x, np.matmul(mh.T, np.matmul(g, mw)))
@@ -380,7 +357,7 @@ def concat(xs, axis=1):
             if ax != axis:
                 _require(t.shape[ax] == xs[0].shape[ax],
                          f"concat: dim {ax} mismatch {t.shape} vs {xs[0].shape}")
-    out = Tensor(np.concatenate([t.data for t in xs], axis=axis))
+    out = Tensor(np.concatenate([t.data for t in xs], axis=axis), dtype=xs[0].data.dtype)
     sizes = [t.shape[axis] for t in xs]
 
     def bwd(g):
@@ -400,7 +377,7 @@ def gate_multiply(x, gate):
     n, c, h, w = x.shape
     _require(gate.shape == (n, 1, h, w),
              f"gate_multiply: gate shape {gate.shape} != ({n}, 1, {h}, {w})")
-    out = Tensor(x.data * gate.data)
+    out = Tensor(x.data * gate.data, dtype=x.data.dtype)
 
     def bwd(g):
         accumulate_grad(x, g * gate.data)
@@ -412,7 +389,7 @@ def gate_multiply(x, gate):
 def matmul(a, b):
     _require(a.ndim == 2 and b.ndim == 2, "matmul: inputs must be 2-d")
     _require(a.shape[1] == b.shape[0], f"matmul: inner dims {a.shape} x {b.shape}")
-    out = Tensor(a.data @ b.data)
+    out = Tensor(a.data @ b.data, dtype=a.data.dtype)
 
     def bwd(g):
         accumulate_grad(a, g @ b.data.T)
@@ -427,7 +404,7 @@ def linear(x, weight, bias):
     _require(x.shape[1] == weight.shape[0],
              f"linear: dim mismatch {x.shape} vs {weight.shape}")
     _require(bias.shape == (weight.shape[1],), "linear: bias shape mismatch")
-    out = Tensor(x.data @ weight.data + bias.data)
+    out = Tensor(x.data @ weight.data + bias.data, dtype=x.data.dtype)
 
     def bwd(g):
         accumulate_grad(x, g @ weight.data.T)
@@ -441,7 +418,7 @@ def softmax(x):
     """Row-wise softmax over the last axis, max-shifted for stability."""
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    out = Tensor(e / e.sum(axis=-1, keepdims=True))
+    out = Tensor(e / e.sum(axis=-1, keepdims=True), dtype=x.data.dtype)
 
     def bwd(g):
         s = out.data
@@ -454,7 +431,7 @@ def embedding_lookup(table, idx):
     """Fetch one row of an embedding table as a (E,) tensor."""
     v, _ = table.shape
     _require(0 <= idx < v, f"embedding_lookup: index {idx} out of range for {v} rows")
-    out = Tensor(table.data[idx].copy())
+    out = Tensor(table.data[idx].copy(), dtype=table.data.dtype)
 
     def bwd(g):
         if table.requires_grad:
@@ -472,7 +449,7 @@ def embedding(table, indices):
     _require(indices.ndim == 1, "embedding: indices must be 1-d")
     _require(np.all((indices >= 0) & (indices < v)),
              f"embedding: index out of range for {v} rows")
-    out = Tensor(table.data[indices])
+    out = Tensor(table.data[indices], dtype=table.data.dtype)
 
     def bwd(g):
         if table.requires_grad:
@@ -487,7 +464,7 @@ def select_step(x, t):
     """Slice one time step from a (N, T, K) tensor -> (N, K)."""
     _require(x.ndim == 3, f"select_step: input must be 3-d, got {x.shape}")
     _require(0 <= t < x.shape[1], f"select_step: step {t} out of range {x.shape[1]}")
-    out = Tensor(x.data[:, t, :])
+    out = Tensor(x.data[:, t, :], dtype=x.data.dtype)
 
     def bwd(g):
         gx = np.zeros_like(x.data)
@@ -498,7 +475,7 @@ def select_step(x, t):
 
 
 def reshape(x, shape):
-    out = Tensor(x.data.reshape(shape))
+    out = Tensor(x.data.reshape(shape), dtype=x.data.dtype)
 
     def bwd(g):
         accumulate_grad(x, g.reshape(x.shape))
@@ -550,7 +527,7 @@ def gru_cell(x, h_prev, p):
     rh = r * h
     c = np.tanh((xd @ p.wh.data + p.bh.data) + rh @ p.uh.data)
     d = c - h
-    out = Tensor(h + z * d)
+    out = Tensor(h + z * d, dtype=h.dtype)
 
     def bwd(g):
         gz = g * z
@@ -610,7 +587,7 @@ def sequence_nll(logits_seq, targets):
         probs.append(p)
         masks.append(active)
         tgt_idx.append(idx)
-    out = Tensor(np.asarray(total / n, dtype=logits_seq[0].data.dtype))
+    out = Tensor(total / n, dtype=logits_seq[0].data.dtype)
 
     def bwd(g):
         gs = np.asarray(g).reshape(-1)[0] / n

@@ -1,22 +1,26 @@
 """Dense tensors, a reverse-mode differentiation tape, and the ADADELTA update.
 
-Values are numpy arrays in a configurable default precision: float32 for
-training, float64 for gradient checking. Operations record backward rules
-onto an explicitly opened Tape; with no active tape nothing is recorded and
-tensors behave as plain immutable values.
+Values are numpy arrays. A new tensor is float32 unless an explicit dtype
+says otherwise, and each op's output takes the dtype of its primary input,
+so a float64 model (float32 layers widened by `Module.astype`) computes in
+float64 from the data alone, with no process-wide switch. Operations record
+backward rules onto an explicitly opened Tape; with no active tape nothing
+is recorded and tensors behave as plain immutable values.
 
-Nothing here is thread safe. The default precision, the tape stack
-(`_tape_stack`) and `ops.kink_trace._active` are process globals, so a tape
-or a precision switch opened in one thread applies to every thread. Models
-write `last_sm`, `last_gated` and `last_map` during forward, and train-mode
-batch norm updates its running statistics in place, so one model must not
-run forward in two threads at once.
+Each thread has its own stack of open tapes, so a tape opened in one thread
+records nothing that another thread runs, and a forward stores nothing on
+its modules. What is still shared: the memo tables in `ops` (conv shift
+plans, interpolation matrices), which only ever gain identical entries; and
+a model's own arrays and modes. Train-mode batch norm updates its running
+statistics in place, an optimizer step writes parameters, and `recognize`
+switches batch-norm modes for the call, so separate models run in parallel
+threads freely, but one model serves one thread at a time unless it is
+already in eval mode.
 """
 
-import numpy as np
+import threading
 
-_DTYPES = {"f32": np.float32, "f64": np.float64}
-_default_dtype = np.float32
+import numpy as np
 
 
 class GradientError(RuntimeError):
@@ -27,52 +31,19 @@ class NonFiniteError(FloatingPointError):
     """A NaN or Inf appeared where the numerics require finite values."""
 
 
-def set_precision(mode):
-    """Set the global default dtype. mode is 'f32' or 'f64'."""
-    global _default_dtype
-    if mode not in _DTYPES:
-        raise ValueError(f"unknown precision mode {mode!r}, expected 'f32' or 'f64'")
-    _default_dtype = _DTYPES[mode]
-
-
-def get_precision():
-    return "f64" if _default_dtype == np.float64 else "f32"
-
-
-def default_dtype():
-    return _default_dtype
-
-
-class precision:
-    """Context manager that switches the default dtype and restores it."""
-
-    def __init__(self, mode):
-        self.mode = mode
-        self._saved = None
-
-    def __enter__(self):
-        self._saved = get_precision()
-        set_precision(self.mode)
-        return self
-
-    def __exit__(self, *exc):
-        set_precision(self._saved)
-        return False
-
-
 class Tensor:
     """A dense row-major array plus an optional accumulated gradient.
 
-    `data` is always a C-contiguous numpy array in the default dtype unless
-    an explicit dtype is given. `grad`, set by backward passes, matches `data`
-    in shape and dtype and may be shared, so it is replaced, never written.
+    `data` is always a C-contiguous numpy array, float32 unless an explicit
+    dtype is given. `grad`, set by backward passes, matches `data` in shape
+    and dtype and may be shared, so it is replaced, never written.
     Tensors are write-once values except for optimizer updates on parameters.
     """
 
     __slots__ = ("data", "grad", "requires_grad")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
-        self.data = np.ascontiguousarray(data, dtype=dtype or _default_dtype)
+    def __init__(self, data, requires_grad=False, dtype=np.float32):
+        self.data = np.ascontiguousarray(data, dtype=dtype)
         self.grad = None
         self.requires_grad = requires_grad
 
@@ -132,7 +103,12 @@ class _Node:
         self.scope = scope
 
 
-_tape_stack = []
+class _ThreadTapes(threading.local):
+    def __init__(self):
+        self.stack = []  # the open tapes of the calling thread, innermost last
+
+
+_tapes = _ThreadTapes()
 
 
 class Tape:
@@ -141,19 +117,23 @@ class Tape:
     Nodes are appended in execution order, which is by construction a valid
     topological order. A tape can be consumed by backward() exactly once.
     `scopes` is the stack of entered module names; nodes get the innermost.
+    With trace_kinks set, `margins` collects for every relu/maxpool run
+    under the tape the distance to its nearest non-differentiable point
+    (zero crossing, argmax tie); otherwise it is None and nothing is paid.
     """
 
-    def __init__(self):
+    def __init__(self, trace_kinks=False):
         self.nodes = []
         self.scopes = []
         self.consumed = False
+        self.margins = [] if trace_kinks else None
 
     def __enter__(self):
-        _tape_stack.append(self)
+        _tapes.stack.append(self)
         return self
 
     def __exit__(self, *exc):
-        _tape_stack.pop()
+        _tapes.stack.pop()
         return False
 
     def first_nonfinite(self):
@@ -165,7 +145,9 @@ class Tape:
 
 
 def active_tape():
-    return _tape_stack[-1] if _tape_stack else None
+    """The innermost tape the calling thread has open, or None."""
+    stack = _tapes.stack
+    return stack[-1] if stack else None
 
 
 def record(op, inputs, out, backward):
@@ -315,7 +297,7 @@ def _check_same_shape(a, b, op):
 
 def add(a, b):
     _check_same_shape(a, b, "add")
-    out = Tensor(a.data + b.data)
+    out = Tensor(a.data + b.data, dtype=a.data.dtype)
 
     def bwd(g):
         accumulate_grad(a, g)
@@ -326,7 +308,7 @@ def add(a, b):
 
 def sub(a, b):
     _check_same_shape(a, b, "sub")
-    out = Tensor(a.data - b.data)
+    out = Tensor(a.data - b.data, dtype=a.data.dtype)
 
     def bwd(g):
         accumulate_grad(a, g)
@@ -337,7 +319,7 @@ def sub(a, b):
 
 def mul(a, b):
     _check_same_shape(a, b, "mul")
-    out = Tensor(a.data * b.data)
+    out = Tensor(a.data * b.data, dtype=a.data.dtype)
 
     def bwd(g):
         accumulate_grad(a, g * b.data)
@@ -347,7 +329,7 @@ def mul(a, b):
 
 
 def scale(x, alpha):
-    out = Tensor(x.data * alpha)
+    out = Tensor(x.data * alpha, dtype=x.data.dtype)
 
     def bwd(g):
         accumulate_grad(x, g * alpha)
@@ -357,7 +339,7 @@ def scale(x, alpha):
 
 def sum_all(x):
     """Sum every element into a scalar tensor."""
-    out = Tensor(np.sum(x.data))
+    out = Tensor(np.sum(x.data), dtype=x.data.dtype)
 
     def bwd(g):
         accumulate_grad(x, np.broadcast_to(g, x.data.shape))

@@ -4,9 +4,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensor as T
 from .checkpoint import save_checkpoint
-from .data import RenderOptions, SyntheticDataset, apply_transform, preprocess
+from .data import SyntheticDataset, apply_transform, preprocess
 from .model import TextRecognizer, stack_images
 from .tensor import NonFiniteError, Tape, adadelta_step, backward, zero_grad
 
@@ -19,10 +18,9 @@ def lr_scale_for_epoch(epoch):
 def dataset_from_config(cfg, count=None, seed_stream=1):
     """Build the synthetic corpus a config describes. seed_stream separates
     train (1) from eval (2) draws under the same master seed."""
-    opts = RenderOptions(noise=cfg.noise, shear_deg=cfg.shear_deg)
     return SyntheticDataset(count or cfg.train_samples, [cfg.seed, seed_stream],
                             cfg.alphabet, min_len=cfg.label_min_len,
-                            max_len=cfg.label_max_len, opts=opts)
+                            max_len=cfg.label_max_len, opts=cfg.render_options())
 
 
 @dataclass
@@ -45,58 +43,58 @@ def train(cfg, dataset=None, out_path=None, log_fn=None, target_loss=None):
     the epoch schedule, and clear gradients. One metrics dict per step is
     collected and passed to log_fn when given. With target_loss set, training
     stops once three consecutive step losses fall below it. The whole run is
-    deterministic in (config, dataset). It runs in the config's precision and
-    restores the caller's precision on return or error.
+    deterministic in (config, dataset) and runs at the config's precision,
+    which the model carries; the dataset's float32 images are widened for a
+    float64 model.
     """
     cfg.validate()
-    with T.precision(cfg.precision):
-        model = TextRecognizer(cfg)
-        model.train()
-        if dataset is None:
-            dataset = dataset_from_config(cfg)
-        order_rng = np.random.default_rng([cfg.seed, 17])
-        metrics = []
-        step = 0
-        recent = []
-        stop = False
-        for epoch in range(1, cfg.epochs + 1):
-            order = order_rng.permutation(len(dataset))
-            lr_scale = lr_scale_for_epoch(epoch)
-            for start in range(0, len(order), cfg.batch_size):
-                batch = order[start:start + cfg.batch_size]
-                images = stack_images([dataset.image(int(i)) for i in batch])
-                labels = [dataset.label(int(i)) for i in batch]
-                with Tape() as tape:
-                    loss = model.loss(images, labels)
-                    loss_val = loss.item()
-                    if not np.isfinite(loss_val):
-                        node = tape.first_nonfinite()
-                        source = _describe(node) if node else "loss"
-                        raise NonFiniteError(f"non-finite loss at step {step + 1}: "
-                                             f"first non-finite tensor from {source}")
-                    backward(loss, tape)
-                adadelta_step(model.params(), lr_scale=lr_scale)
-                zero_grad(model.params())
-                step += 1
-                line = {"step": step, "epoch": epoch, "loss": loss_val, "lr_scale": lr_scale}
-                metrics.append(line)
-                if log_fn:
-                    log_fn(line)
-                if target_loss is not None:
-                    recent.append(loss_val)
-                    if len(recent) >= 3 and all(v < target_loss for v in recent[-3:]):
-                        stop = True
-                if cfg.max_steps is not None and step >= cfg.max_steps:
+    model = TextRecognizer(cfg)
+    model.train()
+    if dataset is None:
+        dataset = dataset_from_config(cfg)
+    order_rng = np.random.default_rng([cfg.seed, 17])
+    metrics = []
+    step = 0
+    recent = []
+    stop = False
+    for epoch in range(1, cfg.epochs + 1):
+        order = order_rng.permutation(len(dataset))
+        lr_scale = lr_scale_for_epoch(epoch)
+        for start in range(0, len(order), cfg.batch_size):
+            batch = order[start:start + cfg.batch_size]
+            images = stack_images([dataset.image(int(i)) for i in batch])
+            labels = [dataset.label(int(i)) for i in batch]
+            with Tape() as tape:
+                loss = model.loss(images, labels)
+                loss_val = loss.item()
+                if not np.isfinite(loss_val):
+                    node = tape.first_nonfinite()
+                    source = _describe(node) if node else "loss"
+                    raise NonFiniteError(f"non-finite loss at step {step + 1}: "
+                                         f"first non-finite tensor from {source}")
+                backward(loss, tape)
+            adadelta_step(model.params(), lr_scale=lr_scale)
+            zero_grad(model.params())
+            step += 1
+            line = {"step": step, "epoch": epoch, "loss": loss_val, "lr_scale": lr_scale}
+            metrics.append(line)
+            if log_fn:
+                log_fn(line)
+            if target_loss is not None:
+                recent.append(loss_val)
+                if len(recent) >= 3 and all(v < target_loss for v in recent[-3:]):
                     stop = True
-                if stop:
-                    break
+            if cfg.max_steps is not None and step >= cfg.max_steps:
+                stop = True
             if stop:
                 break
-            if out_path:
-                save_checkpoint(out_path, model)  # epoch-boundary snapshot
+        if stop:
+            break
         if out_path:
-            save_checkpoint(out_path, model)
-        return TrainResult(model=model, metrics=metrics, checkpoint_path=out_path)
+            save_checkpoint(out_path, model)  # epoch-boundary snapshot
+    if out_path:
+        save_checkpoint(out_path, model)
+    return TrainResult(model=model, metrics=metrics, checkpoint_path=out_path)
 
 
 @dataclass

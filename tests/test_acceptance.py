@@ -22,7 +22,7 @@ from psan.decoder import DEFAULT_CHARSET, Decoder
 from psan.encoder import Encoder, EncoderConfig, VisualAttentionBlock
 from psan.merging import MergingHead
 from psan.model import TextRecognizer
-from psan.tensor import Parameter, Tensor, adadelta_step, precision
+from psan.tensor import Parameter, Tape, Tensor, adadelta_step
 from psan.train import dataset_from_config, evaluate, train
 
 
@@ -134,23 +134,30 @@ def test_shape_grid(capsys):
             f"{combos} encoder combos x 4 merge lengths, all shapes exact")
 
 
+def _node_output(tape, op, scope):
+    """The output array of the one `op` node that `scope` recorded."""
+    (out,) = [n.output.data for n in tape.nodes if n.op == op and n.scope == scope]
+    return out
+
+
 def test_attention_gate_invariants(capsys):
     """Saliency map strictly inside (0,1); gating preserves shape; a map
     forced to zero kills the gated signal."""
-    with precision("f64"):
-        rng = np.random.default_rng(23)
-        vab = VisualAttentionBlock("gate", 10, 3, rng)
-        vab.eval()
-        x = Tensor(rng.standard_normal((2, 10, 8, 20)))
-        y = vab.forward(x)
-        sm = vab.last_sm.data
-        shape_ok = y.shape == x.shape and vab.last_sm.shape == (2, 1, 8, 20)
-        open_ok = sm.min() > 0.0 and sm.max() < 1.0
-        # zero weight + large negative bias drives every sigmoid toward 0
-        vab.score.weight.value.data[:] = 0.0
-        vab.score.bias.value.data[:] = -50.0
-        vab.forward(x)
-        residue = np.abs(vab.last_gated.data).max()
+    rng = np.random.default_rng(23)
+    vab = VisualAttentionBlock("gate", 10, 3, rng).astype(np.float64)
+    vab.eval()
+    x = Tensor(rng.standard_normal((2, 10, 8, 20)), dtype=np.float64)
+    with Tape() as tape:
+        y = vab(x)
+    sm = _node_output(tape, "sigmoid", "gate")
+    shape_ok = y.shape == x.shape and sm.shape == (2, 1, 8, 20)
+    open_ok = sm.min() > 0.0 and sm.max() < 1.0
+    # zero weight + large negative bias drives every sigmoid toward 0
+    vab.score.weight.value.data[:] = 0.0
+    vab.score.bias.value.data[:] = -50.0
+    with Tape() as tape:
+        vab(x)
+    residue = np.abs(_node_output(tape, "gate_multiply", "gate")).max()
     ok = shape_ok and open_ok and residue < 1e-20
     _report(capsys, "attention gate invariants", ok,
             f"map in ({sm.min():.2e}, {1 - sm.max():.2e} below 1), "
@@ -163,21 +170,20 @@ def test_attention_gate_invariants(capsys):
 def test_adadelta_steps(capsys):
     """First update matches the hand-evaluated accumulator formula to 1e-9;
     100 steps on a quadratic decrease the loss monotonically."""
-    with precision("f64"):
-        p = Parameter("w", Tensor(np.array([2.0])))
-        p.value.grad = np.array([1.0])
-        adadelta_step([p])
-        # E[g^2]=0.1, E[dx^2]=0: dx = -sqrt(1e-6)/sqrt(0.1+1e-6)
-        expected = 2.0 - np.sqrt(1e-6) / np.sqrt(0.1 + 1e-6)
-        first_err = abs(float(p.value.data[0]) - expected)
+    p = Parameter("w", Tensor(np.array([2.0]), dtype=np.float64))
+    p.value.grad = np.array([1.0])
+    adadelta_step([p])
+    # E[g^2]=0.1, E[dx^2]=0: dx = -sqrt(1e-6)/sqrt(0.1+1e-6)
+    expected = 2.0 - np.sqrt(1e-6) / np.sqrt(0.1 + 1e-6)
+    first_err = abs(float(p.value.data[0]) - expected)
 
-        q = Parameter("x", Tensor(np.array([1.0])))
-        losses = [1.0]
-        for _ in range(100):
-            q.value.grad = 2.0 * q.value.data.copy()
-            adadelta_step([q])
-            losses.append(float(q.value.data[0] ** 2))
-        monotone = all(b < a for a, b in zip(losses, losses[1:]))
+    q = Parameter("x", Tensor(np.array([1.0]), dtype=np.float64))
+    losses = [1.0]
+    for _ in range(100):
+        q.value.grad = 2.0 * q.value.data.copy()
+        adadelta_step([q])
+        losses.append(float(q.value.data[0] ** 2))
+    monotone = all(b < a for a, b in zip(losses, losses[1:]))
     ok = first_err < 1e-9 and monotone
     _report(capsys, "adadelta", ok,
             f"first-step err {first_err:.2e} (tol 1e-9), "
@@ -200,54 +206,54 @@ def _np_gru_step(x, h, g):
 def test_decoder_contracts(capsys):
     """Greedy length bound, stepwise causality, and a plain-numpy replay of
     the teacher-forced loss on a fixed tiny decoder."""
-    with precision("f64"):
-        rng = np.random.default_rng(31)
-        dec = Decoder("dec", DEFAULT_CHARSET, 4, rng, hidden_size=5, embedding_dim=3)
-        cs = DEFAULT_CHARSET
+    rng = np.random.default_rng(31)
+    dec = Decoder("dec", DEFAULT_CHARSET, 4, rng, hidden_size=5,
+                  embedding_dim=3).astype(np.float64)
+    cs = DEFAULT_CHARSET
 
-        # length bound: never-ending argmax still stops at the step budget
-        length_ok = True
-        for trial in range(5):
-            ch = Tensor(rng.standard_normal((2, 4, 4)))
-            length_ok &= all(len(t) <= 4 for t in dec.greedy(ch))
-        rig = Decoder("rig", cs, 4, np.random.default_rng(32), hidden_size=5,
-                      embedding_dim=3)
-        rig.cls.bias.value.data[:] = 0.0
-        rig.cls.bias.value.data[0] = 50.0  # class 0 always wins, eos never fires
-        rigged = rig.greedy(Tensor(rng.standard_normal((1, 4, 4))))
-        length_ok &= rigged == ["aaaa"]
+    # length bound: never-ending argmax still stops at the step budget
+    length_ok = True
+    for trial in range(5):
+        ch = Tensor(rng.standard_normal((2, 4, 4)), dtype=np.float64)
+        length_ok &= all(len(t) <= 4 for t in dec.greedy(ch))
+    rig = Decoder("rig", cs, 4, np.random.default_rng(32), hidden_size=5,
+                  embedding_dim=3).astype(np.float64)
+    rig.cls.bias.value.data[:] = 0.0
+    rig.cls.bias.value.data[0] = 50.0  # class 0 always wins, eos never fires
+    rigged = rig.greedy(Tensor(rng.standard_normal((1, 4, 4)), dtype=np.float64))
+    length_ok &= rigged == ["aaaa"]
 
-        # causality: perturbing the step-2 channel leaves steps 0 and 1 alone
-        base = rng.standard_normal((1, 4, 4))
-        bumped = base.copy()
-        bumped[:, 2, :] += 1.0
-        _, lg_a = dec.teacher_forced(Tensor(base), ["aaa"])
-        _, lg_b = dec.teacher_forced(Tensor(bumped), ["aaa"])
-        causal_ok = (np.array_equal(lg_a[0].data, lg_b[0].data)
-                     and np.array_equal(lg_a[1].data, lg_b[1].data)
-                     and np.abs(lg_a[2].data - lg_b[2].data).max() > 0)
+    # causality: perturbing the step-2 channel leaves steps 0 and 1 alone
+    base = rng.standard_normal((1, 4, 4))
+    bumped = base.copy()
+    bumped[:, 2, :] += 1.0
+    _, lg_a = dec.teacher_forced(Tensor(base, dtype=np.float64), ["aaa"])
+    _, lg_b = dec.teacher_forced(Tensor(bumped, dtype=np.float64), ["aaa"])
+    causal_ok = (np.array_equal(lg_a[0].data, lg_b[0].data)
+                 and np.array_equal(lg_a[1].data, lg_b[1].data)
+                 and np.abs(lg_a[2].data - lg_b[2].data).max() > 0)
 
-        # independent replay: embeddings, GRU chain, logits, summed nll
-        channels = Tensor(rng.standard_normal((1, 4, 4)))
-        loss, logits_seq = dec.teacher_forced(channels, ["ab"])
-        table = dec.embed.table.value.data
-        g = {leaf: getattr(dec.gru, leaf).value.data
-             for leaf in ("wz", "uz", "bz", "wr", "ur", "br", "wh", "uh", "bh")}
-        cw, cb = dec.cls.weight.value.data, dec.cls.bias.value.data
-        targets = cs.encode("ab") + [cs.eos]
-        prevs = [cs.sos] + cs.encode("ab")
-        h = np.zeros((1, 5))
-        total = 0.0
-        logit_diff = 0.0
-        for t in range(3):
-            xin = np.concatenate([table[prevs[t]][None, :], channels.data[:, t, :]],
-                                 axis=1)
-            h = _np_gru_step(xin, h, g)
-            logit = h @ cw + cb
-            logit_diff = max(logit_diff, np.abs(logit - logits_seq[t].data).max())
-            m = logit.max()
-            total += (m + np.log(np.exp(logit - m).sum())) - logit[0, targets[t]]
-        loss_err = abs(loss.item() - total)  # batch of one: mean == sum
+    # independent replay: embeddings, GRU chain, logits, summed nll
+    channels = Tensor(rng.standard_normal((1, 4, 4)), dtype=np.float64)
+    loss, logits_seq = dec.teacher_forced(channels, ["ab"])
+    table = dec.embed.table.value.data
+    g = {leaf: getattr(dec.gru, leaf).value.data
+         for leaf in ("wz", "uz", "bz", "wr", "ur", "br", "wh", "uh", "bh")}
+    cw, cb = dec.cls.weight.value.data, dec.cls.bias.value.data
+    targets = cs.encode("ab") + [cs.eos]
+    prevs = [cs.sos] + cs.encode("ab")
+    h = np.zeros((1, 5))
+    total = 0.0
+    logit_diff = 0.0
+    for t in range(3):
+        xin = np.concatenate([table[prevs[t]][None, :], channels.data[:, t, :]],
+                             axis=1)
+        h = _np_gru_step(xin, h, g)
+        logit = h @ cw + cb
+        logit_diff = max(logit_diff, np.abs(logit - logits_seq[t].data).max())
+        m = logit.max()
+        total += (m + np.log(np.exp(logit - m).sum())) - logit[0, targets[t]]
+    loss_err = abs(loss.item() - total)  # batch of one: mean == sum
     ok = length_ok and causal_ok and loss_err < 1e-6
     _report(capsys, "decoder contracts", ok,
             f"length bound {length_ok}, causality {causal_ok}, "

@@ -14,7 +14,7 @@ from psan.checkpoint import (MAGIC, VERSION, CheckpointError, load_checkpoint,
                              save_checkpoint)
 from psan.config import ModelConfig
 from psan.model import TextRecognizer, stack_images
-from psan.tensor import Tensor, get_precision, precision
+from psan.tensor import Tensor
 from psan.train import train
 
 
@@ -48,10 +48,9 @@ def test_save_load_save_is_byte_identical(tmp_path):
 
 def test_f64_checkpoint_round_trips_byte_identically_under_f32(tmp_path):
     first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-    with precision("f64"):
-        save_checkpoint(first, messy_model(precision="f64"))
+    save_checkpoint(first, messy_model(precision="f64"))
     loaded, cfg = load_checkpoint(first)
-    assert get_precision() == "f32"
+    assert Tensor([1.0]).data.dtype == np.float32  # no width left behind
     assert cfg.precision == "f64"
     assert {arr.dtype for _, arr in loaded.state_entries()} == {np.dtype(np.float64)}
     save_checkpoint(second, loaded)
@@ -59,17 +58,15 @@ def test_f64_checkpoint_round_trips_byte_identically_under_f32(tmp_path):
 
 
 def test_f64_model_decodes_alike_under_either_precision():
-    with precision("f64"):
-        model = TextRecognizer(tiny_cfg(precision="f64"))
+    model = TextRecognizer(tiny_cfg(precision="f64"))
     model.eval()
     model.decoder.cls.bias.value.data[model.charset.eos] = -1e4  # decode every step
-    # float32 pixels, so both precisions see the same input values
+    # float32 pixels, so both input widths carry the same values
     pixels = np.random.default_rng(3).uniform(-1, 1, (3, 3, 32, 128)).astype(np.float32)
     texts = model.recognize(Tensor(pixels))
-    assert get_precision() == "f32"
+    assert Tensor([1.0]).data.dtype == np.float32
     assert all(len(t) == model.cfg.max_length for t in texts)
-    with precision("f64"):
-        assert model.recognize(Tensor(pixels)) == texts
+    assert model.recognize(Tensor(pixels, dtype=np.float64)) == texts
 
 
 def test_round_trip_preserves_state_and_predictions(tmp_path):

@@ -6,11 +6,15 @@ import struct
 import numpy as np
 import pytest
 
-from psan.checkpoint import MAGIC, VERSION, load_checkpoint
+from psan import cli
+from psan.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from psan.cli import main
 from psan.config import ModelConfig
-from psan.data import write_pgm
-from psan.tensor import get_precision
+from psan.data import (RenderOptions, SyntheticDataset, preprocess, render_word,
+                       write_pgm)
+from psan.model import TextRecognizer
+from psan.tensor import Tensor
+from psan.train import dataset_from_config
 
 
 TINY = dict(channels=4, num_scales=2, rus_per_rs=1, vab_convs=1,
@@ -119,6 +123,52 @@ def test_infer_from_manifest(workdir, tmp_path, capsys):
     assert "out of range" in capsys.readouterr().err
 
 
+def test_infer_on_an_empty_pgm_is_one_error_line(workdir, tmp_path, capsys):
+    pgm = tmp_path / "empty.pgm"
+    pgm.write_bytes(b"P5\n4 0\n255\n")
+    assert main(["infer", "--checkpoint", workdir["ckpt"], "--image", str(pgm)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_manifests_render_with_the_config_options(tmp_path, monkeypatch):
+    """gen-data exports, and every command reading a manifest, render with
+    the config's noise and shear, not the RenderOptions defaults."""
+    cfg = ModelConfig(**{**TINY, "noise": 0.0, "shear_deg": 0.0})
+    clean = cfg.render_options()
+    assert (clean.noise, clean.shear_deg) == (0.0, 0.0)
+    assert dataset_from_config(cfg).opts == clean
+    cfg_path = tmp_path / "clean.json"
+    cfg.save(cfg_path)
+    corpus = tmp_path / "corpus"
+    assert main(["gen-data", "--out", str(corpus), "--count", "2", "--seed", "3",
+                 "--config", str(cfg_path), "--export-pgm"]) == 0
+    manifest = str(corpus / "manifest.tsv")
+    ds = SyntheticDataset.from_manifest(manifest)
+    for i in range(2):
+        for name, opts in (("clean", clean), ("default", RenderOptions())):
+            write_pgm(tmp_path / f"{name}.pgm", render_word(ds.label(i), ds.seed(i), opts)[0])
+        exported = (corpus / f"{i:06d}.pgm").read_bytes()
+        assert exported == (tmp_path / "clean.pgm").read_bytes()
+        assert exported != (tmp_path / "default.pgm").read_bytes()
+
+    seen = []
+    monkeypatch.setattr(cli, "train", lambda cfg, dataset, **kw: seen.append(dataset.opts))
+    assert main(["train", "--config", str(cfg_path), "--manifest", manifest]) == 0
+    ckpt = tmp_path / "clean.ckpt"
+    save_checkpoint(ckpt, TextRecognizer(cfg))
+    for command in ("eval", "robustness"):
+        args = cli._make_parser().parse_args([command, "--checkpoint", str(ckpt),
+                                              "--manifest", manifest])
+        seen.append(cli._eval_dataset(args, cfg).opts)
+    raws = []
+    monkeypatch.setattr(cli, "preprocess", lambda raw: (raws.append(raw), preprocess(raw))[1])
+    assert main(["infer", "--checkpoint", str(ckpt), "--manifest", manifest,
+                 "--index", "1"]) == 0
+    assert seen == [clean] * 3
+    np.testing.assert_array_equal(raws[0], render_word(ds.label(1), ds.seed(1), clean))
+
+
 def test_infer_needs_exactly_one_source(workdir, tmp_path, capsys):
     assert main(["infer", "--checkpoint", workdir["ckpt"]]) == 2
     assert "exactly one" in capsys.readouterr().err
@@ -172,4 +222,18 @@ def test_precision_env_is_validated(monkeypatch, capsys):
 def test_precision_env_applies_to_the_one_command(monkeypatch, tmp_path):
     monkeypatch.setenv("PSAN_PRECISION", "f64")
     assert main(["gen-data", "--out", str(tmp_path), "--count", "2"]) == 0
-    assert get_precision() == "f32"
+    assert Tensor([1.0]).data.dtype == np.float32  # no width left behind
+
+
+def test_precision_env_overrides_the_train_config(monkeypatch, workdir, tmp_path):
+    ckpt = tmp_path / "f64.ckpt"
+    monkeypatch.setenv("PSAN_PRECISION", "f64")
+    assert main(["train", "--config", workdir["cfg"], "--out", str(ckpt)]) == 0
+    model, cfg = load_checkpoint(ckpt)
+    assert cfg.precision == "f64"
+    assert {arr.dtype for _, arr in model.state_entries()} == {np.dtype(np.float64)}
+    monkeypatch.setenv("PSAN_PRECISION", "f32")
+    cfg64 = tmp_path / "f64.json"
+    ModelConfig(**TINY, precision="f64").save(cfg64)
+    assert main(["train", "--config", str(cfg64), "--out", str(ckpt)]) == 0
+    assert load_checkpoint(ckpt)[1].precision == "f32"

@@ -14,9 +14,10 @@ from psan.encoder import ResidualUnit
 from psan.layers import Conv2d, ConvBNReLU
 from psan.merging import MergingHead
 from psan.model import TextRecognizer
-from psan.tensor import Tape, Tensor, backward, precision
+from psan.tensor import Tape, Tensor, backward
 
 RTOL = {"f32": 1e-5, "f64": 1e-12}
+DTYPES = {"f32": np.float32, "f64": np.float64}
 
 
 def tiny_model():
@@ -63,39 +64,38 @@ BLOCKS = {
 @pytest.mark.parametrize("mode", ["f32", "f64"])
 @pytest.mark.parametrize("block", sorted(BLOCKS))
 def test_folded_block_matches_two_op_form(mode, block):
-    with precision(mode):
-        rng = np.random.default_rng(0)
-        module, shape = BLOCKS[block](rng)
-        perturb(module, rng)
-        module.eval()
-        x = Tensor(rng.standard_normal(shape))
-        got = module(x).data
-        want = unfolded(module, x).data
-        assert got.dtype == want.dtype == np.dtype({"f32": np.float32, "f64": np.float64}[mode])
-        assert_close(got, want, mode)
+    rng = np.random.default_rng(0)
+    module, shape = BLOCKS[block](rng)
+    module.astype(DTYPES[mode])
+    perturb(module, rng)
+    module.eval()
+    x = Tensor(rng.standard_normal(shape), dtype=DTYPES[mode])
+    got = module(x).data
+    want = unfolded(module, x).data
+    assert got.dtype == want.dtype == np.dtype(DTYPES[mode])
+    assert_close(got, want, mode)
 
 
 @pytest.mark.parametrize("mode", ["f32", "f64"])
 def test_folded_merging_head_matches_two_op_form(mode):
-    with precision(mode):
-        rng = np.random.default_rng(1)
-        mh = MergingHead("mh", [4, 8], 5, rng)
-        perturb(mh, rng)
-        mh.eval()
-        feats = [Tensor(rng.standard_normal(s)) for s in [(2, 4, 8, 16), (2, 8, 4, 8)]]
-        assert_close(mh(feats).data, unfolded(mh, feats).data, mode)
+    rng = np.random.default_rng(1)
+    mh = MergingHead("mh", [4, 8], 5, rng).astype(DTYPES[mode])
+    perturb(mh, rng)
+    mh.eval()
+    feats = [Tensor(rng.standard_normal(s), dtype=DTYPES[mode])
+             for s in [(2, 4, 8, 16), (2, 8, 4, 8)]]
+    assert_close(mh(feats).data, unfolded(mh, feats).data, mode)
 
 
 @pytest.mark.parametrize("mode", ["f32", "f64"])
 def test_folded_model_features_match_two_op_form(mode):
-    with precision(mode):
-        model = tiny_model()
-        rng = np.random.default_rng(7)
-        perturb(model, rng)
-        model.eval()
-        images = Tensor(rng.uniform(-1, 1, (2, 3, 32, 128)))
-        got = model.features(images).data
-        assert_close(got, unfolded(model.features, images).data, mode)
+    model = tiny_model().astype(DTYPES[mode])
+    rng = np.random.default_rng(7)
+    perturb(model, rng)
+    model.eval()
+    images = Tensor(rng.uniform(-1, 1, (2, 3, 32, 128)), dtype=DTYPES[mode])
+    got = model.features(images).data
+    assert_close(got, unfolded(model.features, images).data, mode)
 
 
 def test_eval_mode_under_a_tape_keeps_both_ops_and_their_gradients():

@@ -231,3 +231,11 @@ def test_export_pgm_matches_raw_channel(tmp_path):
     assert [p.split("/")[-1] for p in paths] == ["000000.pgm", "000001.pgm"]
     back = read_pgm(paths[1])
     np.testing.assert_allclose(back[0], ds.raw(1)[0], atol=0.5 / 255.0 + 1e-12)
+
+
+@pytest.mark.parametrize("size", ["0 0", "4 0", "0 4"])
+def test_pgm_reader_rejects_empty_images(tmp_path, size):
+    path = tmp_path / "empty.pgm"
+    path.write_bytes(f"P5\n{size}\n255\n".encode("ascii"))
+    with pytest.raises(ValueError, match="at least 1x1"):
+        read_pgm(path)

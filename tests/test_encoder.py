@@ -11,8 +11,14 @@ import pytest
 from psan.encoder import (Encoder, EncoderConfig, FusionBlock, PlainBranch,
                           ResidualStructure, ResidualUnit, VisualAttentionBlock)
 from psan.gradcheck import COMPOSITE_TOL, check_case
-from psan.tensor import Tensor, precision, sum_all
+from psan.tensor import Tape, Tensor, sum_all
 from psan import ops
+
+
+def node_output(tape, op, scope):
+    """The output array of the one `op` node that `scope` recorded."""
+    (out,) = [n.output.data for n in tape.nodes if n.op == op and n.scope == scope]
+    return out
 
 
 def zero_params(module):
@@ -65,10 +71,9 @@ def test_residual_unit_zero_weights_reduces_to_relu():
     for m in ru.modules():
         if hasattr(m, "gamma"):
             m.gamma.value.data[:] = 1  # restore identity batch norms
-    ru.eval()
-    with precision("f64"):
-        x = Tensor(np.random.default_rng(2).standard_normal((2, 4, 3, 5)))
-        out = ru.forward(x)
+    ru.astype(np.float64).eval()
+    x = Tensor(np.random.default_rng(2).standard_normal((2, 4, 3, 5)), dtype=np.float64)
+    out = ru.forward(x)
     np.testing.assert_array_equal(out.data, np.maximum(x.data, 0))
 
 
@@ -87,27 +92,28 @@ def test_attention_block_shape_and_saliency_range():
     vab = VisualAttentionBlock("vab", 3, 2, rng)
     vab.eval()
     x = Tensor(rng.standard_normal((2, 3, 4, 6)))
-    out = vab.forward(x)
+    with Tape() as tape:
+        out = vab(x)
     assert out.shape == x.shape
-    sm = vab.last_sm.data
+    sm = node_output(tape, "sigmoid", "vab")
     assert sm.shape == (2, 1, 4, 6)
     assert (sm > 0).all() and (sm < 1).all()
-    np.testing.assert_allclose(vab.last_gated.data, x.data * sm, rtol=1e-6)
+    np.testing.assert_allclose(node_output(tape, "gate_multiply", "vab"), x.data * sm, rtol=1e-6)
 
 
 def test_attention_gate_can_suppress_everything():
     """Forcing the score conv to -50 drives the gate to sigmoid(-50) ~ 2e-22,
     so the gated features all but vanish while staying strictly positive maps."""
     rng = np.random.default_rng(5)
-    with precision("f64"):
-        vab = VisualAttentionBlock("vab", 3, 2, rng)
-        vab.score.weight.value.data[:] = 0
-        vab.score.bias.value.data[:] = -50.0
-        vab.eval()
-        x = Tensor(rng.standard_normal((2, 3, 4, 6)))
-        vab.forward(x)
-    assert (vab.last_sm.data > 0).all()
-    assert np.abs(vab.last_gated.data).max() <= 1e-20
+    vab = VisualAttentionBlock("vab", 3, 2, rng).astype(np.float64)
+    vab.score.weight.value.data[:] = 0
+    vab.score.bias.value.data[:] = -50.0
+    vab.eval()
+    x = Tensor(rng.standard_normal((2, 3, 4, 6)), dtype=np.float64)
+    with Tape() as tape:
+        vab(x)
+    assert (node_output(tape, "sigmoid", "vab") > 0).all()
+    assert np.abs(node_output(tape, "gate_multiply", "vab")).max() <= 1e-20
 
 
 def test_plain_branch_matches_attention_shape():
@@ -134,13 +140,12 @@ def test_fusion_zero_weights_passes_targets_through():
     """With every cross-path conv zeroed the exchange adds nothing, so each
     scale's own features come back exactly."""
     rng = np.random.default_rng(8)
-    with precision("f64"):
-        fb = FusionBlock("f", [4, 8], rng)
-        zero_params(fb)
-        fb.eval()
-        feats = [Tensor(rng.standard_normal((1, 4, 8, 16))),
-                 Tensor(rng.standard_normal((1, 8, 4, 8)))]
-        fused = fb.forward(feats)
+    fb = FusionBlock("f", [4, 8], rng).astype(np.float64)
+    zero_params(fb)
+    fb.eval()
+    feats = [Tensor(rng.standard_normal((1, 4, 8, 16)), dtype=np.float64),
+             Tensor(rng.standard_normal((1, 8, 4, 8)), dtype=np.float64)]
+    fused = fb.forward(feats)
     for before, after in zip(feats, fused):
         np.testing.assert_array_equal(after.data, before.data)
 
@@ -191,27 +196,26 @@ def test_encoder_seeded_construction_is_deterministic():
 
 
 def test_encoder_gradients_match_finite_differences():
-    with precision("f64"):
-        rng = np.random.default_rng(17)
-        enc = Encoder(EncoderConfig(base_channels=4, num_scales=2, rus_per_rs=1,
-                                    vab_convs=1), rng)
-        # zero-init biases leave padding-dominated conv windows sitting exactly
-        # on the relu kink; nudge them so the probe point is certifiable
-        for p in enc.params():
-            if p.name.endswith(".bias") or p.name.endswith(".beta"):
-                p.value.data[:] = (rng.uniform(0.05, 0.3, p.value.data.shape)
-                                   * rng.choice([-1.0, 1.0], p.value.data.shape))
-        enc.eval()
-        image = Tensor(rng.uniform(-1, 1, (1, 3, 4, 8)), dtype=np.float64)
-        projs = [Tensor(rng.standard_normal((1, 8, 2, 4)), dtype=np.float64),
-                 Tensor(rng.standard_normal((1, 16, 1, 2)), dtype=np.float64)]
+    rng = np.random.default_rng(17)
+    enc = Encoder(EncoderConfig(base_channels=4, num_scales=2, rus_per_rs=1,
+                                vab_convs=1), rng).astype(np.float64)
+    # zero-init biases leave padding-dominated conv windows sitting exactly
+    # on the relu kink; nudge them so the probe point is certifiable
+    for p in enc.params():
+        if p.name.endswith(".bias") or p.name.endswith(".beta"):
+            p.value.data[:] = (rng.uniform(0.05, 0.3, p.value.data.shape)
+                               * rng.choice([-1.0, 1.0], p.value.data.shape))
+    enc.eval()
+    image = Tensor(rng.uniform(-1, 1, (1, 3, 4, 8)), dtype=np.float64)
+    projs = [Tensor(rng.standard_normal((1, 8, 2, 4)), dtype=np.float64),
+             Tensor(rng.standard_normal((1, 16, 1, 2)), dtype=np.float64)]
 
-        def fwd():
-            outs = enc.forward(image)
-            terms = [sum_all(ops.mul(o, p)) for o, p in zip(outs, projs)]
-            return ops.add(terms[0], terms[1])
+    def fwd():
+        outs = enc.forward(image)
+        terms = [sum_all(ops.mul(o, p)) for o, p in zip(outs, projs)]
+        return ops.add(terms[0], terms[1])
 
-        wrt = [image, enc.stem.conv.weight.value, enc.branch[0].score.bias.value]
-        err = check_case(fwd, wrt)
+    wrt = [image, enc.stem.conv.weight.value, enc.branch[0].score.bias.value]
+    err = check_case(fwd, wrt)
     assert err < COMPOSITE_TOL
     assert np.abs(image.grad).max() > 0  # the comparison was not vacuous

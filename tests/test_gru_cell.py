@@ -12,7 +12,9 @@ from psan import ops
 from psan.config import ModelConfig
 from psan.layers import GRUCell
 from psan.model import TextRecognizer
-from psan.tensor import Tape, Tensor, add, backward, mul, precision, sub, sum_all
+from psan.tensor import Tape, Tensor, add, backward, mul, sub, sum_all
+
+DTYPES = {"f32": np.float32, "f64": np.float64}
 
 
 def composed_gru_cell(x, h_prev, p):
@@ -38,14 +40,14 @@ def assert_bits_equal(a, b, what=""):
     np.testing.assert_array_equal(a.view(np.uint8), b.view(np.uint8), err_msg=what)
 
 
-def run_chain(cell_fn, cell, xs, h0, projs):
+def run_chain(cell_fn, cell, xs, h0, projs, dtype):
     """Chain the cell over the step inputs, score every hidden state, run
     backward; return the hidden states and every gradient."""
     params = [p.value for p in cell.params()]
     for p in params:
         p.grad = None
-    xs = [Tensor(x, requires_grad=True) for x in xs]
-    h = Tensor(h0, requires_grad=True)
+    xs = [Tensor(x, requires_grad=True, dtype=dtype) for x in xs]
+    h = Tensor(h0, requires_grad=True, dtype=dtype)
     leaves = [h] + xs
     states = []
     with Tape() as tape:
@@ -53,7 +55,7 @@ def run_chain(cell_fn, cell, xs, h0, projs):
         for x, proj in zip(xs, projs):
             h = cell_fn(x, h, cell.weights())
             states.append(h.data)
-            term = sum_all(mul(h, Tensor(proj)))
+            term = sum_all(mul(h, Tensor(proj, dtype=dtype)))
             loss = term if loss is None else add(loss, term)
         backward(loss, tape)
     return states, [t.grad for t in leaves + params]
@@ -62,17 +64,17 @@ def run_chain(cell_fn, cell, xs, h0, projs):
 @pytest.mark.parametrize("mode", ["f32", "f64"])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_fused_gru_matches_the_composed_step_bit_for_bit(mode, seed):
-    with precision(mode):
-        rng = np.random.default_rng(seed)
-        n, d_in, hidden, steps = 3, 7, 5, 4
-        cell = GRUCell("g", d_in, hidden, rng)
-        for b in (cell.bz, cell.br, cell.bh):  # nonzero biases exercise the bias sums
-            b.value.data[:] = rng.standard_normal(hidden)
-        xs = [rng.standard_normal((n, d_in)) for _ in range(steps)]
-        h0 = rng.standard_normal((n, hidden))
-        projs = [rng.standard_normal((n, hidden)) for _ in range(steps)]
-        fused = run_chain(ops.gru_cell, cell, xs, h0, projs)
-        composed = run_chain(composed_gru_cell, cell, xs, h0, projs)
+    dtype = DTYPES[mode]
+    rng = np.random.default_rng(seed)
+    n, d_in, hidden, steps = 3, 7, 5, 4
+    cell = GRUCell("g", d_in, hidden, rng).astype(dtype)
+    for b in (cell.bz, cell.br, cell.bh):  # nonzero biases exercise the bias sums
+        b.value.data[:] = rng.standard_normal(hidden)
+    xs = [rng.standard_normal((n, d_in)) for _ in range(steps)]
+    h0 = rng.standard_normal((n, hidden))
+    projs = [rng.standard_normal((n, hidden)) for _ in range(steps)]
+    fused = run_chain(ops.gru_cell, cell, xs, h0, projs, dtype)
+    composed = run_chain(composed_gru_cell, cell, xs, h0, projs, dtype)
     for t, (a, b) in enumerate(zip(fused[0], composed[0])):
         assert_bits_equal(a, b, f"h at step {t}")
     names = ["h0"] + [f"x{t}" for t in range(steps)] + [p.name for p in cell.params()]
@@ -100,8 +102,7 @@ def test_sigmoid_matches_the_two_branch_form_bit_for_bit(dtype):
     got = ops._sigmoid(d)
     want = masked_sigmoid(d)
     assert_bits_equal(got, want)
-    with precision("f64" if dtype == np.float64 else "f32"):
-        assert_bits_equal(ops.sigmoid(Tensor(d)).data, want)
+    assert_bits_equal(ops.sigmoid(Tensor(d, dtype=dtype)).data, want)
 
 
 def test_teacher_forced_tape_holds_one_gru_node_per_step():

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from psan.merging import MergingHead
-from psan.tensor import Tensor, precision
+from psan.tensor import Tape, Tensor
 
 
-def rand_feats(rng, shapes):
-    return [Tensor(rng.standard_normal(s)) for s in shapes]
+def rand_feats(rng, shapes, dtype=np.float32):
+    return [Tensor(rng.standard_normal(s), dtype=dtype) for s in shapes]
 
 
 def test_default_scale_stack_shape():
@@ -51,12 +51,11 @@ def test_zero_conv_weights_give_constant_step_vectors():
     """With the merge conv's weight zeroed each channel map is the constant
     relu(normalized bias), so every step vector has zero spread."""
     rng = np.random.default_rng(4)
-    with precision("f64"):
-        mh = MergingHead("mh", [4, 8], 6, rng)
-        mh.conv.weight.value.data[:] = 0
-        mh.conv.bias.value.data[:] = rng.standard_normal(6)
-        mh.eval()
-        out = mh.forward(rand_feats(rng, [(2, 4, 8, 16), (2, 8, 4, 8)]))
+    mh = MergingHead("mh", [4, 8], 6, rng).astype(np.float64)
+    mh.conv.weight.value.data[:] = 0
+    mh.conv.bias.value.data[:] = rng.standard_normal(6)
+    mh.eval()
+    out = mh.forward(rand_feats(rng, [(2, 4, 8, 16), (2, 8, 4, 8)], np.float64))
     spread = out.data.max(axis=2) - out.data.min(axis=2)
     assert spread.max() == 0
     assert out.data.max() > 0  # some biases were positive, maps are not all dead
@@ -66,8 +65,10 @@ def test_step_vectors_are_rowmajor_flattened_maps():
     rng = np.random.default_rng(5)
     mh = MergingHead("mh", [4, 8], 7, rng)
     mh.eval()
-    out = mh.forward(rand_feats(rng, [(3, 4, 8, 16), (3, 8, 4, 8)]))
-    maps = mh.last_map.data
+    with Tape() as tape:
+        out = mh(rand_feats(rng, [(3, 4, 8, 16), (3, 8, 4, 8)]))
+    # the pre-flatten channel maps: the head's own relu, after its conv and bn
+    (maps,) = [n.output.data for n in tape.nodes if n.op == "relu" and n.scope == "mh"]
     assert maps.shape == (3, 7, 4, 8)
     np.testing.assert_array_equal(out.data, maps.reshape(3, 7, 32))
 

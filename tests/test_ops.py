@@ -3,8 +3,8 @@
 Gradient correctness lives in psan.gradcheck (exercised by the acceptance
 suite); these tests pin the forward semantics: hand-computable cases, brute
 force convolution and pooling references, and the documented error paths.
-Exact-equality cases run in 64-bit mode since op outputs take the global
-precision.
+Exact-equality cases build float64 inputs, since each op's output takes
+the dtype of its primary input.
 """
 
 import numpy as np
@@ -12,7 +12,7 @@ import pytest
 
 from psan import ops
 from psan.layers import GRUCell
-from psan.tensor import Tape, Tensor, backward, precision, sum_all
+from psan.tensor import Tape, Tensor, backward, sum_all
 
 
 def naive_conv2d(x, w, b, stride, padding):
@@ -147,11 +147,11 @@ def test_batchnorm_eval_identity_stats():
 
 def test_batchnorm_eval_is_the_normalized_affine_map():
     rng = np.random.default_rng(6)
-    with precision("f64"):
-        x = Tensor(rng.standard_normal((2, 3, 4, 5)) * 2 + 1)
-        gamma, beta = Tensor(rng.uniform(0.5, 1.5, 3)), Tensor(rng.standard_normal(3))
-        rm, rv = rng.standard_normal(3), rng.uniform(0.5, 2.0, 3)
-        out = ops.batchnorm2d(x, gamma, beta, rm, rv, eps=1e-5, training=False)
+    x = Tensor(rng.standard_normal((2, 3, 4, 5)) * 2 + 1, dtype=np.float64)
+    gamma = Tensor(rng.uniform(0.5, 1.5, 3), dtype=np.float64)
+    beta = Tensor(rng.standard_normal(3), dtype=np.float64)
+    rm, rv = rng.standard_normal(3), rng.uniform(0.5, 2.0, 3)
+    out = ops.batchnorm2d(x, gamma, beta, rm, rv, eps=1e-5, training=False)
     c = (slice(None), None, None)
     ref = (x.data - rm[c]) / np.sqrt(rv[c] + 1e-5) * gamma.data[c] + beta.data[c]
     assert out.data.dtype == np.float64
@@ -228,8 +228,7 @@ def test_maxpool_basic_and_constant():
 def test_maxpool_matches_window_scan():
     rng = np.random.default_rng(6)
     x = rng.standard_normal((1, 2, 8, 16))
-    with precision("f64"):
-        out = ops.maxpool2d(Tensor(x), 4)
+    out = ops.maxpool2d(Tensor(x, dtype=np.float64), 4)
     ref = np.zeros((1, 2, 2, 4))
     for c in range(2):
         for i in range(2):
@@ -253,28 +252,25 @@ def test_maxpool_backward_routes_to_first_tie():
 def test_maxpool_then_nearest_upsample_dominates_input():
     """The pooled window maximum, broadcast back up, bounds every input cell."""
     rng = np.random.default_rng(7)
-    with precision("f64"):
-        for k in (2, 4):
-            x = rng.standard_normal((2, 3, 8, 8))
-            pooled = ops.maxpool2d(Tensor(x), k).data
-            up = pooled.repeat(k, axis=2).repeat(k, axis=3)
-            assert (up >= x - 1e-12).all()
+    for k in (2, 4):
+        x = rng.standard_normal((2, 3, 8, 8))
+        pooled = ops.maxpool2d(Tensor(x, dtype=np.float64), k).data
+        up = pooled.repeat(k, axis=2).repeat(k, axis=3)
+        assert (up >= x - 1e-12).all()
 
 
 def test_upsample_constant_is_exact():
-    with precision("f64"):
-        const = Tensor(np.full((1, 2, 3, 4), -0.3))
-        for factor in (2, 4):
-            out = ops.bilinear_upsample(const, factor)
-            assert out.shape == (1, 2, 3 * factor, 4 * factor)
-            np.testing.assert_allclose(out.data, -0.3, atol=1e-12)
+    const = Tensor(np.full((1, 2, 3, 4), -0.3), dtype=np.float64)
+    for factor in (2, 4):
+        out = ops.bilinear_upsample(const, factor)
+        assert out.shape == (1, 2, 3 * factor, 4 * factor)
+        np.testing.assert_allclose(out.data, -0.3, atol=1e-12)
 
 
 def test_upsample_hand_case():
     # width [0, 1] at factor 2: source coords (i+0.5)/2 - 0.5, edges clamped
-    with precision("f64"):
-        x = Tensor(np.array([0.0, 1.0]).reshape(1, 1, 1, 2))
-        out = ops.bilinear_upsample(x, 2)
+    x = Tensor(np.array([0.0, 1.0]).reshape(1, 1, 1, 2), dtype=np.float64)
+    out = ops.bilinear_upsample(x, 2)
     np.testing.assert_allclose(out.data.reshape(2, 4),
                                [[0.0, 0.25, 0.75, 1.0]] * 2, atol=1e-12)
 
@@ -309,20 +305,19 @@ def test_upsample_rejects_bad_factor():
 
 def test_concat_channels_layout_and_backward():
     rng = np.random.default_rng(8)
-    with precision("f64"):
-        a = Tensor(rng.standard_normal((1, 2, 4, 4)), requires_grad=True)
-        b = Tensor(rng.standard_normal((1, 3, 4, 4)), requires_grad=True)
-        single = ops.concat([a], axis=1)
-        np.testing.assert_array_equal(single.data, a.data)
-        out = ops.concat([a, b], axis=1)
-        assert out.shape == (1, 5, 4, 4)
-        np.testing.assert_array_equal(out.data[:, :2], a.data)
-        np.testing.assert_array_equal(out.data[:, 2:], b.data)
+    a = Tensor(rng.standard_normal((1, 2, 4, 4)), requires_grad=True, dtype=np.float64)
+    b = Tensor(rng.standard_normal((1, 3, 4, 4)), requires_grad=True, dtype=np.float64)
+    single = ops.concat([a], axis=1)
+    np.testing.assert_array_equal(single.data, a.data)
+    out = ops.concat([a, b], axis=1)
+    assert out.shape == (1, 5, 4, 4)
+    np.testing.assert_array_equal(out.data[:, :2], a.data)
+    np.testing.assert_array_equal(out.data[:, 2:], b.data)
 
-        g = rng.standard_normal((1, 5, 4, 4))
-        proj = Tensor(g)
-        with Tape() as tape:
-            backward(sum_all(ops.mul(ops.concat([a, b], axis=1), proj)), tape)
+    g = rng.standard_normal((1, 5, 4, 4))
+    proj = Tensor(g, dtype=np.float64)
+    with Tape() as tape:
+        backward(sum_all(ops.mul(ops.concat([a, b], axis=1), proj)), tape)
     np.testing.assert_array_equal(a.grad, g[:, :2])
     np.testing.assert_array_equal(b.grad, g[:, 2:])
 
@@ -335,28 +330,26 @@ def test_concat_rejects_mismatched_dims():
 
 def test_gate_multiply_identity_zero_and_bound():
     rng = np.random.default_rng(9)
-    with precision("f64"):
-        x = Tensor(rng.standard_normal((2, 3, 4, 4)))
-        ones = Tensor(np.ones((2, 1, 4, 4)))
-        zeros = Tensor(np.zeros((2, 1, 4, 4)))
-        np.testing.assert_array_equal(ops.gate_multiply(x, ones).data, x.data)
-        np.testing.assert_array_equal(ops.gate_multiply(x, zeros).data,
-                                      np.zeros_like(x.data))
-        # sigmoid gates lie in (0, 1) so gating can never grow a magnitude
-        sm = ops.sigmoid(Tensor(rng.standard_normal((2, 1, 4, 4))))
-        gated = ops.gate_multiply(x, sm)
-        assert (np.abs(gated.data) <= np.abs(x.data) + 1e-12).all()
+    x = Tensor(rng.standard_normal((2, 3, 4, 4)), dtype=np.float64)
+    ones = Tensor(np.ones((2, 1, 4, 4)), dtype=np.float64)
+    zeros = Tensor(np.zeros((2, 1, 4, 4)), dtype=np.float64)
+    np.testing.assert_array_equal(ops.gate_multiply(x, ones).data, x.data)
+    np.testing.assert_array_equal(ops.gate_multiply(x, zeros).data,
+                                  np.zeros_like(x.data))
+    # sigmoid gates lie in (0, 1) so gating can never grow a magnitude
+    sm = ops.sigmoid(Tensor(rng.standard_normal((2, 1, 4, 4)), dtype=np.float64))
+    gated = ops.gate_multiply(x, sm)
+    assert (np.abs(gated.data) <= np.abs(x.data) + 1e-12).all()
 
 
 def test_linear_identity_and_bias_only():
     rng = np.random.default_rng(10)
-    with precision("f64"):
-        x = Tensor(rng.standard_normal((3, 4)))
-        np.testing.assert_allclose(
-            ops.linear(x, Tensor(np.eye(4)), Tensor(np.zeros(4))).data, x.data, rtol=1e-12)
-        b = rng.standard_normal(5)
-        out = ops.linear(x, Tensor(np.zeros((4, 5))), Tensor(b))
-        np.testing.assert_allclose(out.data, np.tile(b, (3, 1)), rtol=1e-12)
+    x = Tensor(rng.standard_normal((3, 4)), dtype=np.float64)
+    eye, zero = Tensor(np.eye(4), dtype=np.float64), Tensor(np.zeros(4), dtype=np.float64)
+    np.testing.assert_allclose(ops.linear(x, eye, zero).data, x.data, rtol=1e-12)
+    b = rng.standard_normal(5)
+    out = ops.linear(x, Tensor(np.zeros((4, 5)), dtype=np.float64), Tensor(b, dtype=np.float64))
+    np.testing.assert_allclose(out.data, np.tile(b, (3, 1)), rtol=1e-12)
 
 
 def test_softmax_values_and_stability():
@@ -364,9 +357,8 @@ def test_softmax_values_and_stability():
                                atol=1e-7)
     rng = np.random.default_rng(11)
     x = rng.uniform(-50, 50, (8, 13))
-    with precision("f64"):
-        out = ops.softmax(Tensor(x)).data
-        shifted = ops.softmax(Tensor(x + 3.7)).data
+    out = ops.softmax(Tensor(x, dtype=np.float64)).data
+    shifted = ops.softmax(Tensor(x + 3.7, dtype=np.float64)).data
     assert (out > 0).all()
     np.testing.assert_allclose(out.sum(axis=1), np.ones(8), atol=1e-6)
     assert np.abs(out - shifted).max() < 1e-7
@@ -374,16 +366,15 @@ def test_softmax_values_and_stability():
 
 def test_embedding_lookup_and_accumulation():
     rng = np.random.default_rng(12)
-    with precision("f64"):
-        table = Tensor(rng.standard_normal((7, 4)), requires_grad=True)
-        np.testing.assert_array_equal(ops.embedding_lookup(table, 0).data, table.data[0])
-        with pytest.raises(ValueError):
-            ops.embedding_lookup(table, 7)
-        # two lookups of the same row accumulate both upstream gradients
-        with Tape() as tape:
-            a = ops.embedding_lookup(table, 2)
-            b = ops.embedding_lookup(table, 2)
-            backward(sum_all(ops.add(ops.scale(a, 1.0), ops.scale(b, 2.0))), tape)
+    table = Tensor(rng.standard_normal((7, 4)), requires_grad=True, dtype=np.float64)
+    np.testing.assert_array_equal(ops.embedding_lookup(table, 0).data, table.data[0])
+    with pytest.raises(ValueError):
+        ops.embedding_lookup(table, 7)
+    # two lookups of the same row accumulate both upstream gradients
+    with Tape() as tape:
+        a = ops.embedding_lookup(table, 2)
+        b = ops.embedding_lookup(table, 2)
+        backward(sum_all(ops.add(ops.scale(a, 1.0), ops.scale(b, 2.0))), tape)
     np.testing.assert_allclose(table.grad[2], np.full(4, 3.0), rtol=1e-12)
     assert np.abs(table.grad[[0, 1, 3, 4, 5, 6]]).max() == 0
 

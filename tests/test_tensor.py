@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from psan import ops
+from psan.config import ModelConfig
 from psan.tensor import (GradientError, NonFiniteError, Parameter, Tape,
                          Tensor, adadelta_step, backward,
-                         finite_difference_grad, precision, sum_all,
-                         zero_grad)
+                         finite_difference_grad, sum_all, zero_grad)
 
 
 def test_square_sum_gradient():
@@ -29,30 +29,29 @@ def test_sigmoid_scalar_gradient():
 def test_three_layer_composite_matches_finite_differences():
     """linear -> tanh -> linear, checked against central differences at 64-bit."""
     rng = np.random.default_rng(7)
-    with precision("f64"):
-        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-        w1 = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
-        b1 = Tensor(rng.standard_normal(5), requires_grad=True)
-        w2 = Tensor(rng.standard_normal((5, 2)), requires_grad=True)
-        b2 = Tensor(rng.standard_normal(2), requires_grad=True)
+    x = Tensor(rng.standard_normal((3, 4)), requires_grad=True, dtype=np.float64)
+    w1 = Tensor(rng.standard_normal((4, 5)), requires_grad=True, dtype=np.float64)
+    b1 = Tensor(rng.standard_normal(5), requires_grad=True, dtype=np.float64)
+    w2 = Tensor(rng.standard_normal((5, 2)), requires_grad=True, dtype=np.float64)
+    b2 = Tensor(rng.standard_normal(2), requires_grad=True, dtype=np.float64)
 
-        def forward():
-            return sum_all(ops.linear(ops.tanh(ops.linear(x, w1, b1)), w2, b2))
+    def forward():
+        return sum_all(ops.linear(ops.tanh(ops.linear(x, w1, b1)), w2, b2))
 
-        with Tape() as tape:
-            backward(forward(), tape)
-        for t in (x, w1, b1, w2, b2):
-            def probe(v, t=t):
-                saved = t.data
-                t.data = v.data
-                try:
-                    return forward()
-                finally:
-                    t.data = saved
+    with Tape() as tape:
+        backward(forward(), tape)
+    for t in (x, w1, b1, w2, b2):
+        def probe(v, t=t):
+            saved = t.data
+            t.data = v.data
+            try:
+                return forward()
+            finally:
+                t.data = saved
 
-            fd = finite_difference_grad(probe, t).data
-            err = np.abs(t.grad - fd) / np.maximum(np.maximum(np.abs(t.grad), np.abs(fd)), 1e-8)
-            assert err.max() < 1e-5
+        fd = finite_difference_grad(probe, t).data
+        err = np.abs(t.grad - fd) / np.maximum(np.maximum(np.abs(t.grad), np.abs(fd)), 1e-8)
+        assert err.max() < 1e-5
 
 
 def test_shared_intermediate_accumulates():
@@ -119,10 +118,9 @@ def test_backward_linearity():
     alpha, beta = 1.7, -0.3
 
     def grad_of(build):
-        with precision("f64"):
-            x = Tensor(vals, requires_grad=True)
-            with Tape() as tape:
-                backward(build(x), tape)
+        x = Tensor(vals, requires_grad=True, dtype=np.float64)
+        with Tape() as tape:
+            backward(build(x), tape)
         return x.grad
 
     f = lambda x: sum_all(ops.mul(x, x))
@@ -133,16 +131,14 @@ def test_backward_linearity():
 
 
 def test_fd_of_sum_is_ones():
-    with precision("f64"):
-        x = Tensor(np.random.default_rng(0).standard_normal((2, 3)))
-        fd = finite_difference_grad(lambda t: sum_all(t), x)
+    x = Tensor(np.random.default_rng(0).standard_normal((2, 3)), dtype=np.float64)
+    fd = finite_difference_grad(lambda t: sum_all(t), x)
     np.testing.assert_allclose(fd.data, np.ones((2, 3)), rtol=0, atol=1e-9)
 
 
 def test_fd_of_quadratic():
-    with precision("f64"):
-        x = Tensor([3.0])
-        fd = finite_difference_grad(lambda t: sum_all(ops.mul(t, t)), x, eps=1e-4)
+    x = Tensor([3.0], dtype=np.float64)
+    fd = finite_difference_grad(lambda t: sum_all(ops.mul(t, t)), x, eps=1e-4)
     assert abs(fd.data[0] - 6.0) < 1e-7
 
 
@@ -168,10 +164,9 @@ def test_tape_first_nonfinite_finds_earliest_bad_node():
 
 def test_adadelta_first_step_hand_value():
     """One update at g=1 from zero accumulators, evaluated from the closed form."""
-    with precision("f64"):
-        p = Parameter("p", Tensor([0.0]))
-        p.value.grad = np.array([1.0])
-        adadelta_step([p], rho=0.9, eps=1e-6, lr_scale=1.0)
+    p = Parameter("p", Tensor([0.0], dtype=np.float64))
+    p.value.grad = np.array([1.0])
+    adadelta_step([p], rho=0.9, eps=1e-6, lr_scale=1.0)
     expected = -math.sqrt(1e-6) / math.sqrt(0.1 + 1e-6)
     assert abs(p.value.data[0] - expected) < 1e-9
     assert abs(expected + 3.162e-3) < 1e-6
@@ -241,11 +236,11 @@ def test_zero_grad_on_fresh_params():
 
 
 def test_precision_context_switches_dtype():
-    with precision("f64"):
-        assert Tensor([1.0]).data.dtype == np.float64
     assert Tensor([1.0]).data.dtype == np.float32
-    with pytest.raises(ValueError):
-        precision("f16").__enter__()
+    assert Tensor(np.array([1.0])).data.dtype == np.float32
+    assert Tensor([1.0], dtype=np.float64).data.dtype == np.float64
+    with pytest.raises(ValueError, match="precision"):
+        ModelConfig(precision="f16").validate()
 
 
 def test_elementwise_ops_reject_shape_mismatch():

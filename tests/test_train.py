@@ -11,8 +11,7 @@ from psan.config import ModelConfig
 from psan.data import SyntheticDataset
 from psan.layers import BatchNorm2d
 from psan.model import TextRecognizer
-from psan.tensor import (NonFiniteError, Parameter, Tensor, adadelta_step,
-                         get_precision)
+from psan.tensor import NonFiniteError, Parameter, Tensor, adadelta_step
 from psan.train import (dataset_from_config, evaluate, lr_scale_for_epoch,
                         train)
 
@@ -103,10 +102,10 @@ def test_non_finite_loss_names_the_module_scope():
 def test_training_restores_the_callers_precision():
     res = train(tiny_cfg(precision="f64"))
     assert res.model.decoder.cls.weight.value.data.dtype == np.float64
-    assert get_precision() == "f32"
+    assert Tensor([1.0]).data.dtype == np.float32
     with pytest.raises(NonFiniteError):
         train(tiny_cfg(precision="f64"), dataset=NaNDataset())
-    assert get_precision() == "f32"
+    assert Tensor([1.0]).data.dtype == np.float32
 
 
 def test_checkpoint_written_each_epoch_and_on_completion(tmp_path, monkeypatch):
