@@ -111,24 +111,35 @@ class Decoder(Module):
 
     def greedy(self, channels):
         """Greedy decode: argmax each step (ties to the lowest index), stop at
-        eos or after max_length steps; eos is not part of the returned text."""
+        eos or after max_length steps; eos is not part of the returned text.
+
+        Nothing here is differentiated, so around the GRU a step is plain
+        numpy: the embedding-row gather, the step slice, the concatenation
+        and the classifier `h @ W + b` compute exactly what the embedding,
+        select_step, concat and linear ops of `_step` would. The state still
+        advances through one fused `gru_cell` node per step, so the decode is
+        bit-identical to the taped step.
+        """
         n, t_total = self._check_channels(channels)
-        h = Tensor(np.zeros((n, self.hidden_size)), dtype=channels.data.dtype)
+        table = self.embed.table.value.data
+        cls_w, cls_b = self.cls.weight.value.data, self.cls.bias.value.data
+        ch = channels.data
+        h = Tensor(np.zeros((n, self.hidden_size)), dtype=ch.dtype)
         prev = np.full(n, self.charset.sos, dtype=np.int64)
         done = np.zeros(n, dtype=bool)
         texts = [[] for _ in range(n)]
-        with self.scope():
-            for t in range(t_total):
-                h, logits = self._step(channels, t, prev, h)
-                pred = logits.data.argmax(axis=1)
-                for i in range(n):
-                    if done[i]:
-                        continue
-                    if pred[i] == self.charset.eos:
-                        done[i] = True
-                    else:
-                        texts[i].append(self.charset.chars[pred[i]])
-                if done.all():
-                    break
-                prev = pred
+        for t in range(t_total):
+            x = np.concatenate([table[prev], ch[:, t, :]], axis=1)
+            h = self.gru(Tensor(x, dtype=table.dtype), h)
+            pred = (h.data @ cls_w + cls_b).argmax(axis=1)
+            for i in range(n):
+                if done[i]:
+                    continue
+                if pred[i] == self.charset.eos:
+                    done[i] = True
+                else:
+                    texts[i].append(self.charset.chars[pred[i]])
+            if done.all():
+                break
+            prev = pred
         return ["".join(t) for t in texts]

@@ -6,6 +6,7 @@ deterministic. A sub-layer is attached fully built, so each module can keep
 the list of batch norms below it from construction on.
 """
 
+import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -29,6 +30,7 @@ class Module:
         self._params = []
         self._children = []
         self.batchnorms = []  # every BatchNorm2d in this subtree, in modules() order
+        self._eval_lock = threading.RLock()  # held by evaluating() for its block
 
     def __call__(self, *args):
         if active_tape() is None:  # inference: skip the scope's generator
@@ -97,15 +99,21 @@ class Module:
 
     @contextmanager
     def evaluating(self):
-        """Eval mode for the block; each batch norm's own mode is restored after."""
-        bns = self.batchnorms
-        saved = [m.training for m in bns]
-        self.set_training(False)
-        try:
-            yield self
-        finally:
-            for m, flag in zip(bns, saved):
-                m.training = flag
+        """Eval mode for the block; each batch norm's own mode is restored after.
+
+        The module's lock is held for the whole block, so threads evaluating
+        one module take turns: none can save the eval flags another set and
+        restore them after it, which would leave a train-mode model in eval
+        mode."""
+        with self._eval_lock:
+            bns = self.batchnorms
+            saved = [m.training for m in bns]
+            self.set_training(False)
+            try:
+                yield self
+            finally:
+                for m, flag in zip(bns, saved):
+                    m.training = flag
 
 
 class Conv2d(Module):

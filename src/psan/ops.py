@@ -9,6 +9,8 @@ copies for other same-size stride-1 kernels, strided im2col windows
 otherwise. The naive direct form lives in the test suite as an oracle. A
 GRU step is one fused node that rounds every value as the primitive ops it
 replaces would; the composed form lives in the test suite as its reference.
+Input checks format their error message only when they fail, so a passing
+check costs one call, not one string per op call.
 """
 
 from dataclasses import dataclass
@@ -19,9 +21,10 @@ from .tensor import Tensor, accumulate_grad, active_tape, record
 from .tensor import add, sub, mul, scale, sum_all  # noqa: F401  (re-exported)
 
 
-def _require(cond, msg):
+def _require(cond, msg, *args):
+    """Raise ValueError(msg.format(*args)) unless cond holds."""
     if not cond:
-        raise ValueError(msg)
+        raise ValueError(msg.format(*args))
 
 
 def _channel_sum(a):
@@ -64,16 +67,17 @@ def conv2d(x, weight, bias, stride=1, padding=0):
     x: (N, C_in, H, W), weight: (C_out, C_in, kh, kw), bias: (C_out,).
     Output spatial dims are (H + 2p - kh) // stride + 1 and likewise for W.
     """
-    _require(x.ndim == 4, f"conv2d: input must be 4-d, got {x.shape}")
-    _require(weight.ndim == 4, f"conv2d: weight must be 4-d, got {weight.shape}")
+    _require(x.ndim == 4, "conv2d: input must be 4-d, got {}", x.shape)
+    _require(weight.ndim == 4, "conv2d: weight must be 4-d, got {}", weight.shape)
     n, c_in, h, w = x.shape
     c_out, c_in_w, kh, kw = weight.shape
-    _require(c_in == c_in_w, f"conv2d: channel mismatch, input {c_in} vs weight {c_in_w}")
-    _require(bias.shape == (c_out,), f"conv2d: bias shape {bias.shape} != ({c_out},)")
+    _require(c_in == c_in_w, "conv2d: channel mismatch, input {} vs weight {}", c_in, c_in_w)
+    _require(bias.shape == (c_out,), "conv2d: bias shape {} != ({},)", bias.shape, c_out)
     h_out = (h + 2 * padding - kh) // stride + 1
     w_out = (w + 2 * padding - kw) // stride + 1
     _require(h_out >= 1 and w_out >= 1,
-             f"conv2d: degenerate output {h_out}x{w_out} for input {h}x{w} kernel {kh}x{kw}")
+             "conv2d: degenerate output {}x{} for input {}x{} kernel {}x{}",
+             h_out, w_out, h, w, kh, kw)
 
     # The column matrix is (N, C_in*kh*kw, L): one row per input channel and
     # kernel offset, so the convolution is a single batched matmul. Same-size
@@ -98,7 +102,8 @@ def conv2d(x, weight, bias, stride=1, padding=0):
     else:
         xp = x.data
         if padding > 0:
-            xp = np.pad(xp, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+            xp = np.zeros((n, c_in, h + 2 * padding, w + 2 * padding), dtype=xp.dtype)
+            xp[:, :, padding:padding + h, padding:padding + w] = x.data
         cols = np.empty((n, c_in, kh, kw, h_out, w_out), dtype=xp.dtype)
         for i in range(kh):
             for j in range(kw):
@@ -161,15 +166,15 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, momentum=0.1,
     results (and the acceptance gates) move with any reassociation. Eval mode
     keeps no x_hat; backward recomputes it when gamma needs a gradient.
     """
-    _require(x.ndim == 4, f"batchnorm2d: input must be 4-d, got {x.shape}")
+    _require(x.ndim == 4, "batchnorm2d: input must be 4-d, got {}", x.shape)
     n, c, h, w = x.shape
     _require(gamma.shape == (c,) and beta.shape == (c,),
-             f"batchnorm2d: gamma/beta must be ({c},)")
+             "batchnorm2d: gamma/beta must be ({},)", c)
     count = n * h * w
     xv = x.data.reshape(n, c, h * w)
     if training:
         _require(count >= 2,
-                 f"batchnorm2d: train mode needs at least 2 values per channel, got {count}")
+                 "batchnorm2d: train mode needs at least 2 values per channel, got {}", count)
         mean = _channel_sum(xv) / count
         xhat = xv - mean[:, None]
         # squared deviations go into the output buffer, overwritten below
@@ -265,11 +270,11 @@ def maxpool2d(x, kernel, stride=None):
     occurrence in row-major window order on ties.
     """
     stride = kernel if stride is None else stride
-    _require(kernel == stride, f"maxpool2d: kernel {kernel} must equal stride {stride}")
-    _require(x.ndim == 4, f"maxpool2d: input must be 4-d, got {x.shape}")
+    _require(kernel == stride, "maxpool2d: kernel {} must equal stride {}", kernel, stride)
+    _require(x.ndim == 4, "maxpool2d: input must be 4-d, got {}", x.shape)
     n, c, h, w = x.shape
     _require(h % kernel == 0 and w % kernel == 0,
-             f"maxpool2d: {h}x{w} not divisible by window {kernel}")
+             "maxpool2d: {}x{} not divisible by window {}", h, w, kernel)
     ho, wo = h // kernel, w // kernel
     windows = (x.data.reshape(n, c, ho, kernel, wo, kernel)
                .transpose(0, 1, 2, 4, 3, 5)
@@ -333,8 +338,8 @@ def _cached_interp(n_in, n_out, dtype):
 
 def bilinear_upsample(x, factor):
     """Bilinear upsampling by an integer factor (2, 4, or 8) on H and W."""
-    _require(factor in (2, 4, 8), f"bilinear_upsample: unsupported factor {factor}")
-    _require(x.ndim == 4, f"bilinear_upsample: input must be 4-d, got {x.shape}")
+    _require(factor in (2, 4, 8), "bilinear_upsample: unsupported factor {}", factor)
+    _require(x.ndim == 4, "bilinear_upsample: input must be 4-d, got {}", x.shape)
     n, c, h, w = x.shape
     mh = _cached_interp(h, h * factor, x.data.dtype)
     mw = _cached_interp(w, w * factor, x.data.dtype)
@@ -356,7 +361,7 @@ def concat(xs, axis=1):
         for ax in range(nd):
             if ax != axis:
                 _require(t.shape[ax] == xs[0].shape[ax],
-                         f"concat: dim {ax} mismatch {t.shape} vs {xs[0].shape}")
+                         "concat: dim {} mismatch {} vs {}", ax, t.shape, xs[0].shape)
     out = Tensor(np.concatenate([t.data for t in xs], axis=axis), dtype=xs[0].data.dtype)
     sizes = [t.shape[axis] for t in xs]
 
@@ -376,7 +381,7 @@ def gate_multiply(x, gate):
     _require(x.ndim == 4 and gate.ndim == 4, "gate_multiply: inputs must be 4-d")
     n, c, h, w = x.shape
     _require(gate.shape == (n, 1, h, w),
-             f"gate_multiply: gate shape {gate.shape} != ({n}, 1, {h}, {w})")
+             "gate_multiply: gate shape {} != ({}, 1, {}, {})", gate.shape, n, h, w)
     out = Tensor(x.data * gate.data, dtype=x.data.dtype)
 
     def bwd(g):
@@ -388,7 +393,7 @@ def gate_multiply(x, gate):
 
 def matmul(a, b):
     _require(a.ndim == 2 and b.ndim == 2, "matmul: inputs must be 2-d")
-    _require(a.shape[1] == b.shape[0], f"matmul: inner dims {a.shape} x {b.shape}")
+    _require(a.shape[1] == b.shape[0], "matmul: inner dims {} x {}", a.shape, b.shape)
     out = Tensor(a.data @ b.data, dtype=a.data.dtype)
 
     def bwd(g):
@@ -400,9 +405,9 @@ def matmul(a, b):
 
 def linear(x, weight, bias):
     """Affine map: x (N, D_in) @ weight (D_in, D_out) + bias (D_out,)."""
-    _require(x.ndim == 2, f"linear: input must be 2-d, got {x.shape}")
+    _require(x.ndim == 2, "linear: input must be 2-d, got {}", x.shape)
     _require(x.shape[1] == weight.shape[0],
-             f"linear: dim mismatch {x.shape} vs {weight.shape}")
+             "linear: dim mismatch {} vs {}", x.shape, weight.shape)
     _require(bias.shape == (weight.shape[1],), "linear: bias shape mismatch")
     out = Tensor(x.data @ weight.data + bias.data, dtype=x.data.dtype)
 
@@ -430,7 +435,7 @@ def softmax(x):
 def embedding_lookup(table, idx):
     """Fetch one row of an embedding table as a (E,) tensor."""
     v, _ = table.shape
-    _require(0 <= idx < v, f"embedding_lookup: index {idx} out of range for {v} rows")
+    _require(0 <= idx < v, "embedding_lookup: index {} out of range for {} rows", idx, v)
     out = Tensor(table.data[idx].copy(), dtype=table.data.dtype)
 
     def bwd(g):
@@ -448,7 +453,7 @@ def embedding(table, indices):
     v, _ = table.shape
     _require(indices.ndim == 1, "embedding: indices must be 1-d")
     _require(np.all((indices >= 0) & (indices < v)),
-             f"embedding: index out of range for {v} rows")
+             "embedding: index out of range for {} rows", v)
     out = Tensor(table.data[indices], dtype=table.data.dtype)
 
     def bwd(g):
@@ -462,8 +467,8 @@ def embedding(table, indices):
 
 def select_step(x, t):
     """Slice one time step from a (N, T, K) tensor -> (N, K)."""
-    _require(x.ndim == 3, f"select_step: input must be 3-d, got {x.shape}")
-    _require(0 <= t < x.shape[1], f"select_step: step {t} out of range {x.shape[1]}")
+    _require(x.ndim == 3, "select_step: input must be 3-d, got {}", x.shape)
+    _require(0 <= t < x.shape[1], "select_step: step {} out of range {}", t, x.shape[1])
     out = Tensor(x.data[:, t, :], dtype=x.data.dtype)
 
     def bwd(g):
@@ -515,12 +520,12 @@ def gru_cell(x, h_prev, p):
     """
     _require(x.ndim == 2 and h_prev.ndim == 2, "gru_cell: inputs must be 2-d")
     n, hidden = h_prev.shape
-    _require(x.shape[0] == n, f"gru_cell: batch mismatch {x.shape} vs {h_prev.shape}")
+    _require(x.shape[0] == n, "gru_cell: batch mismatch {} vs {}", x.shape, h_prev.shape)
     for w, u, b in ((p.wz, p.uz, p.bz), (p.wr, p.ur, p.br), (p.wh, p.uh, p.bh)):
         _require(w.shape == (x.shape[1], hidden) and u.shape == (hidden, hidden)
                  and b.shape == (hidden,),
-                 f"gru_cell: weights {w.shape}, {u.shape}, {b.shape} do not fit "
-                 f"input {x.shape} and hidden {h_prev.shape}")
+                 "gru_cell: weights {}, {}, {} do not fit input {} and hidden {}",
+                 w.shape, u.shape, b.shape, x.shape, h_prev.shape)
     xd, h = x.data, h_prev.data
     z = _sigmoid((xd @ p.wz.data + p.bz.data) + h @ p.uz.data)
     r = _sigmoid((xd @ p.wr.data + p.br.data) + h @ p.ur.data)
@@ -562,14 +567,14 @@ def sequence_nll(logits_seq, targets):
     _require(len(logits_seq) >= 1, "sequence_nll: need at least one step")
     n, v = logits_seq[0].shape
     for t, lg in enumerate(logits_seq):
-        _require(lg.shape == (n, v), f"sequence_nll: step {t} shape {lg.shape} != ({n}, {v})")
-    _require(len(targets) == n, f"sequence_nll: {len(targets)} target rows for batch {n}")
+        _require(lg.shape == (n, v), "sequence_nll: step {} shape {} != ({}, {})", t, lg.shape, n, v)
+    _require(len(targets) == n, "sequence_nll: {} target rows for batch {}", len(targets), n)
     steps = len(logits_seq)
     for i, seq in enumerate(targets):
         _require(len(seq) <= steps,
-                 f"sequence_nll: target {i} has {len(seq)} steps but only {steps} logits")
+                 "sequence_nll: target {} has {} steps but only {} logits", i, len(seq), steps)
         for cls in seq:
-            _require(0 <= cls < v, f"sequence_nll: class {cls} out of range {v}")
+            _require(0 <= cls < v, "sequence_nll: class {} out of range {}", cls, v)
 
     probs = []
     masks = []

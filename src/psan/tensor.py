@@ -12,10 +12,11 @@ records nothing that another thread runs, and a forward stores nothing on
 its modules. What is still shared: the memo tables in `ops` (conv shift
 plans, interpolation matrices), which only ever gain identical entries; and
 a model's own arrays and modes. Train-mode batch norm updates its running
-statistics in place, an optimizer step writes parameters, and `recognize`
-switches batch-norm modes for the call, so separate models run in parallel
-threads freely, but one model serves one thread at a time unless it is
-already in eval mode.
+statistics in place and an optimizer step writes parameters, so separate
+models run in parallel threads freely, but one model trains in one thread
+at a time. `recognize` and `evaluate` switch batch-norm modes for the call
+while holding the model's lock, so threads recognizing with one model take
+turns and leave its modes as they found them.
 """
 
 import threading

@@ -4,7 +4,8 @@ Each test prints a single [PASS]/[FAIL] line with the measured numbers
 (written through the capture so it always reaches the terminal) and then
 asserts. The two training runs (overfit, ablation) dominate the runtime;
 the overfit run is a module-scoped fixture shared by the robustness and
-checkpoint tests.
+checkpoint tests. The tests that train are marked `slow`, so
+`pytest -m "not slow"` runs everything else in seconds.
 """
 
 import string
@@ -274,6 +275,7 @@ def overfit_run():
     return cfg, ds, result, wall
 
 
+@pytest.mark.slow
 def test_overfit_small_corpus(overfit_run, capsys):
     """Default-size model memorizes its 32-word corpus inside the step and
     wall-clock budget, and the run replays bit-for-bit."""
@@ -291,6 +293,7 @@ def test_overfit_small_corpus(overfit_run, capsys):
             f"5-step replay identical={exact}")
 
 
+@pytest.mark.slow
 def test_robustness_transforms(overfit_run, capsys):
     """Padding transforms have exact geometry and never help accuracy."""
     cfg, ds, result, _ = overfit_run
@@ -322,6 +325,7 @@ def test_robustness_transforms(overfit_run, capsys):
             f"accuracy padded {acc_pad:.3f} <= none {acc_none:.3f}")
 
 
+@pytest.mark.slow
 def test_checkpoint_round_trip(overfit_run, tmp_path, capsys):
     """save -> load -> save is byte-identical and predictions survive."""
     cfg, ds, result, _ = overfit_run
@@ -350,6 +354,7 @@ _ABLATION = dict(channels=6, num_scales=2, rus_per_rs=1, vab_convs=2,
                  noise=0.1, shear_deg=12.0)
 
 
+@pytest.mark.slow
 def test_attention_ablation(capsys):
     """With a fixed 2000-step budget, the gated model beats its ungated twin
     on held-out words in at least 4 of 5 seeds."""

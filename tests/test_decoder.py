@@ -1,11 +1,13 @@
 """Decoder contracts: charset bijection, teacher forcing against a plain
-numpy reference, greedy stopping rules, and causality of the step inputs."""
+numpy reference, greedy decoding against the taped step it replaces, greedy
+stopping rules, and causality of the step inputs."""
 
 import numpy as np
 import pytest
 
+from psan import ops
 from psan.decoder import Charset, Decoder
-from psan.tensor import Tensor
+from psan.tensor import Tape, Tensor
 
 
 def make_decoder(rng, channel_dim=4, hidden=5, embed=3):
@@ -92,6 +94,54 @@ def test_teacher_forcing_error_paths():
         dec.teacher_forced(channels, ["a", "b"])
     with pytest.raises(ValueError, match="channel dims"):
         dec.teacher_forced(Tensor(np.zeros((1, 3, 5))), ["a"])
+
+
+def composed_greedy(dec, channels):
+    """Greedy decoding composed from taped modules and ops, one step as
+    embed -> select_step -> concat -> gru -> cls. Returns the texts and the
+    hidden state of every step."""
+    n, t_total = channels.shape[:2]
+    cs = dec.charset
+    h = Tensor(np.zeros((n, dec.hidden_size)), dtype=channels.data.dtype)
+    prev = np.full(n, cs.sos, dtype=np.int64)
+    done = np.zeros(n, dtype=bool)
+    texts = [[] for _ in range(n)]
+    hs = []
+    for t in range(t_total):
+        inp = ops.concat([dec.embed(prev), ops.select_step(channels, t)], axis=1)
+        h = dec.gru(inp, h)
+        hs.append(h.data)
+        pred = dec.cls(h).data.argmax(axis=1)
+        for i in range(n):
+            if not done[i]:
+                done[i] = pred[i] == cs.eos
+                if not done[i]:
+                    texts[i].append(cs.chars[pred[i]])
+        if done.all():
+            break
+        prev = pred
+    return ["".join(t) for t in texts], hs
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_greedy_decodes_bit_identically_to_the_taped_step(dtype):
+    """Greedy runs plain numpy around one fused gru_cell node per step; every
+    hidden state and every text equal the composed taped loop's."""
+    rng = np.random.default_rng(30)
+    dec = make_decoder(rng, channel_dim=12, hidden=16, embed=8).astype(dtype)
+    dec.cls.bias.value.data[dec.charset.eos] = -1e4  # decode every step
+    channels = Tensor(rng.standard_normal((3, 6, 12)), dtype=dtype)
+    want, hs = composed_greedy(dec, channels)
+    assert len(hs) == 6 and len(set(want)) == 3
+    with Tape() as tape:
+        got = dec.greedy(channels)
+    assert got == want
+    assert [node.op for node in tape.nodes] == ["gru_cell"] * len(hs)
+    assert {node.scope for node in tape.nodes} == {dec.gru.name}
+    for node, h in zip(tape.nodes, hs):
+        assert node.output.data.dtype == dtype
+        assert node.output.data.tobytes() == h.tobytes()
+    assert dec.greedy(channels) == want
 
 
 def test_greedy_stops_on_rigged_eos():

@@ -447,3 +447,24 @@ def test_same_size_shift_table_is_built_once_per_shape():
     assert ops._same_shifts(3, 1, 4, 16) is shifts
     assert ops._same_shifts(3, 1, 4, 8) is not shifts
     assert len(shifts) == 9 and shifts[4][:3] == (0, 0, 64)  # the centre tap reads in place
+
+
+class _Unprintable:
+    """An argument that raises if a check formats it."""
+
+    def _fail(self, *_):
+        raise AssertionError("a passing check formatted its message")
+
+    __format__ = __repr__ = __str__ = _fail
+
+
+def test_checks_format_their_message_only_on_failure():
+    ops._require(True, "never built {} {!r}", _Unprintable(), _Unprintable())
+    with pytest.raises(ValueError) as err:
+        ops._require(False, "conv2d: bias shape {} != ({},)", (3,), 4)
+    assert str(err.value) == "conv2d: bias shape (3,) != (4,)"
+    with pytest.raises(ValueError) as err:
+        ops.gru_cell(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 2))),
+                     GRUCell("gru", 4, 2, np.random.default_rng(0)).weights())
+    assert str(err.value) == ("gru_cell: weights (4, 2), (2, 2), (2,) do not fit "
+                              "input (1, 3) and hidden (1, 2)")

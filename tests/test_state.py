@@ -101,6 +101,24 @@ def test_f32_and_f64_models_recognize_at_once_in_parallel_threads():
     assert len({str(s) for s in serial}) == len(models)
 
 
+def test_threads_recognizing_with_one_train_mode_model_leave_its_modes_alone():
+    """Two threads recognize with each of 20 train-mode models. `evaluating()`
+    holds the model's lock for its block, so neither thread can save the eval
+    flags the other set and restore them after it."""
+    models = [TextRecognizer(tiny_cfg(seed=s)) for s in range(20)]
+    images = pixels(7, n=1)
+    serial = [m.recognize(images) for m in models]
+    work = lambda: [[m.recognize(images) for _ in range(3)] for m in models]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = run_threads([work, work])
+    finally:
+        sys.setswitchinterval(switch)
+    assert all(bn.training for m in models for bn in m.batchnorms)
+    assert got == [[[texts] * 3 for texts in serial]] * 2
+
+
 def bindings(model):
     return {(m.name, k): v for m in model.modules() for k, v in vars(m).items()}
 
