@@ -59,11 +59,13 @@ def save_checkpoint(path, model):
 
 
 def _well_formed(entry):
-    """A manifest tensor entry has every key, a list of sizes and an offset."""
-    if not (isinstance(entry, dict) and _ENTRY_KEYS <= entry.keys()):
+    """A manifest tensor entry has every key, a string name and dtype code, a
+    list of sizes and an offset. JSON true and false are not sizes."""
+    if not (isinstance(entry, dict) and _ENTRY_KEYS <= entry.keys()
+            and isinstance(entry["name"], str) and isinstance(entry["dtype"], str)):
         return False
     sizes = entry["shape"] if isinstance(entry["shape"], list) else [-1]
-    return all(isinstance(v, int) and v >= 0 for v in sizes + [entry["offset"]])
+    return all(type(v) is int and v >= 0 for v in sizes + [entry["offset"]])
 
 
 def load_checkpoint(path):

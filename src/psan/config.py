@@ -3,6 +3,7 @@
 import json
 import string
 from dataclasses import asdict, dataclass, fields
+from typing import get_args
 
 from .data import RenderOptions
 from .decoder import DEFAULT_CHARSET
@@ -35,6 +36,13 @@ class ModelConfig:
     precision: str = "f32"
 
     def validate(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kinds = get_args(f.type) or (f.type,)  # int | None -> (int, NoneType)
+            accepted = kinds + (int,) if float in kinds else kinds
+            if isinstance(value, bool) != (bool in kinds) or not isinstance(value, accepted):
+                names = " or ".join("None" if k is type(None) else k.__name__ for k in kinds)
+                raise ValueError(f"{f.name} must be {names}, got {value!r}")
         self.encoder_config().validate()
         if self.max_length < 2:
             raise ValueError(f"max_length must be >= 2, got {self.max_length}")

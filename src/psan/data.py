@@ -169,14 +169,18 @@ def transform_padded(img):
     return _replicate_pad(img, h // 2, h - h // 2, w // 2, w - w // 2)
 
 
-def transform_r_padded(img, seed):
-    """Replication padding with per-side fractions drawn from [0, 0.2]."""
+def _random_pad(img, seed, cap):
+    """Replication padding with per-side fractions drawn from [0, cap]."""
     _, h, w = img.shape
-    rng = np.random.default_rng(seed)
-    fr = rng.uniform(0.0, 0.2, size=4)
+    fr = np.random.default_rng(seed).uniform(0.0, cap, size=4)
     top, bottom = _split_pad(fr[0], fr[1], h)
     left, right = _split_pad(fr[2], fr[3], w)
     return _replicate_pad(img, top, bottom, left, right)
+
+
+def transform_r_padded(img, seed):
+    """Replication padding with per-side fractions drawn from [0, 0.2]."""
+    return _random_pad(img, seed, 0.2)
 
 
 def transform_expanded(img):
@@ -189,12 +193,7 @@ def transform_expanded(img):
 
 def transform_r_expanded(img, seed):
     """Replication padding with per-side fractions drawn from [0, 0.1]."""
-    _, h, w = img.shape
-    rng = np.random.default_rng(seed)
-    fr = rng.uniform(0.0, 0.1, size=4)
-    top, bottom = _split_pad(fr[0], fr[1], h)
-    left, right = _split_pad(fr[2], fr[3], w)
-    return _replicate_pad(img, top, bottom, left, right)
+    return _random_pad(img, seed, 0.1)
 
 
 TRANSFORMS = ("none", "padded", "r_padded", "expanded", "r_expanded")

@@ -45,8 +45,10 @@ def check_case(forward, wrt, eps=1e-4, margin_floor=1e-3):
 
     forward is an argument-free callable returning a scalar Tensor that
     depends on the tensors in wrt. Probe evaluations temporarily swap each
-    tensor's data in place; no tape is active during probes, so they are
-    pure forward passes.
+    tensor's data in place. Each probe runs under its own tape, so a
+    train-mode batch norm computes the same batch-statistics function as the
+    taped pass (an untaped forward would use running statistics); nothing
+    reads those tapes.
 
     Central differences are meaningless within eps of a relu zero crossing
     or a pooling argmax tie, so the probe point itself is certified first:
@@ -69,7 +71,8 @@ def check_case(forward, wrt, eps=1e-4, margin_floor=1e-3):
             saved = t.data
             t.data = np.ascontiguousarray(x.data, dtype=saved.dtype)
             try:
-                return forward()
+                with Tape():
+                    return forward()
             finally:
                 t.data = saved
 

@@ -2,11 +2,9 @@
 
 Layers register their parameters and sub-layers explicitly, in construction
 order, so parameter lists, checkpoints, and seeded initialization are all
-deterministic. A sub-layer is attached fully built, so each module can keep
-the list of batch norms below it from construction on.
+deterministic.
 """
 
-import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -29,8 +27,6 @@ class Module:
         self.name = name
         self._params = []
         self._children = []
-        self.batchnorms = []  # every BatchNorm2d in this subtree, in modules() order
-        self._eval_lock = threading.RLock()  # held by evaluating() for its block
 
     def __call__(self, *args):
         if active_tape() is None:  # inference: skip the scope's generator
@@ -56,7 +52,6 @@ class Module:
 
     def child(self, module):
         self._children.append(module)
-        self.batchnorms.extend(module.batchnorms)
         return module
 
     def params(self):
@@ -69,6 +64,11 @@ class Module:
         yield self
         for c in self._children:
             yield from c.modules()
+
+    @property
+    def batchnorms(self):
+        """Every BatchNorm2d in this subtree, in modules() order."""
+        return [m for m in self.modules() if isinstance(m, BatchNorm2d)]
 
     def astype(self, dtype):
         """Convert every value of the subtree in place to dtype: parameters,
@@ -97,24 +97,6 @@ class Module:
     def eval(self):
         self.set_training(False)
 
-    @contextmanager
-    def evaluating(self):
-        """Eval mode for the block; each batch norm's own mode is restored after.
-
-        The module's lock is held for the whole block, so threads evaluating
-        one module take turns: none can save the eval flags another set and
-        restore them after it, which would leave a train-mode model in eval
-        mode."""
-        with self._eval_lock:
-            bns = self.batchnorms
-            saved = [m.training for m in bns]
-            self.set_training(False)
-            try:
-                yield self
-            finally:
-                for m, flag in zip(bns, saved):
-                    m.training = flag
-
 
 class Conv2d(Module):
     def __init__(self, name, c_in, c_out, kernel, rng, stride=1, padding=0):
@@ -137,7 +119,6 @@ class BatchNorm2d(Module):
         self.momentum = momentum
         self.eps = eps
         self.training = True
-        self.batchnorms = [self]
         self.gamma = self.param("gamma", np.ones(channels, dtype=np.float32))
         self.beta = self.param("beta", np.zeros(channels, dtype=np.float32))
         self.running_mean = np.zeros(channels, dtype=np.float32)
@@ -151,17 +132,20 @@ class BatchNorm2d(Module):
 
 
 def conv_bn(conv, bn, x):
-    """bn(conv(x)), with the batch norm folded into the convolution when it
-    runs in eval mode and no tape records.
+    """bn(conv(x)), with the batch norm folded into the convolution whenever
+    no tape records.
 
-    Eval-mode batch norm is the per-channel affine map y = k * (z - mean) +
+    The tape alone decides between training and inference arithmetic. With
+    no tape the pair is inference whatever `bn.training` says, and writes
+    nothing: batch norm is the per-channel affine map y = k * (z - mean) +
     beta with k = gamma / sqrt(running_var + eps), so the pair is one conv
     with weight W * k and bias (b - mean) * k + beta. The fold is rebuilt
     from the current arrays on every call, so it never goes stale. It rounds
     differently from the two-op form (about 1e-6 of the largest feature in
-    float32), so training and any taped forward keep the two ops.
+    float32), so a taped forward keeps the two ops; there the batch norm's
+    mode picks batch statistics (train) or running ones (eval).
     """
-    if bn.training or active_tape() is not None:
+    if active_tape() is not None:
         return bn(conv(x))
     w = conv.weight.value.data
     k = bn.gamma.value.data / np.sqrt(bn.running_var + bn.eps)

@@ -48,11 +48,10 @@ class TextRecognizer(Module):
         return loss
 
     def recognize(self, images):
-        """Greedy-decode a batch in eval mode. Each batch norm's own mode is
-        restored after, so a model fresh from training keeps its running
-        statistics and its mode."""
-        with self.evaluating():
-            return self.decoder.greedy(self.features(images))
+        """Greedy-decode a batch. No tape is open, so every batch norm uses its
+        running statistics whatever its mode, and the call writes nothing to
+        the model: a model fresh from training keeps its statistics and mode."""
+        return self.decoder.greedy(self.features(images))
 
     def state_entries(self):
         """Ordered (name, array) pairs covering every piece of trainable and

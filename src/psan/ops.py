@@ -263,14 +263,12 @@ def tanh(x):
     return record("tanh", (x,), out, bwd)
 
 
-def maxpool2d(x, kernel, stride=None):
-    """Non-overlapping max pooling; kernel must equal stride and divide H, W.
+def maxpool2d(x, kernel):
+    """Non-overlapping kernel x kernel max pooling; kernel must divide H, W.
 
     The backward pass routes each window's gradient to its argmax, first
     occurrence in row-major window order on ties.
     """
-    stride = kernel if stride is None else stride
-    _require(kernel == stride, "maxpool2d: kernel {} must equal stride {}", kernel, stride)
     _require(x.ndim == 4, "maxpool2d: input must be 4-d, got {}", x.shape)
     n, c, h, w = x.shape
     _require(h % kernel == 0 and w % kernel == 0,

@@ -11,12 +11,11 @@ Each thread has its own stack of open tapes, so a tape opened in one thread
 records nothing that another thread runs, and a forward stores nothing on
 its modules. What is still shared: the memo tables in `ops` (conv shift
 plans, interpolation matrices), which only ever gain identical entries; and
-a model's own arrays and modes. Train-mode batch norm updates its running
-statistics in place and an optimizer step writes parameters, so separate
-models run in parallel threads freely, but one model trains in one thread
-at a time. `recognize` and `evaluate` switch batch-norm modes for the call
-while holding the model's lock, so threads recognizing with one model take
-turns and leave its modes as they found them.
+a model's own arrays and modes. A taped train-mode batch norm updates its
+running statistics in place and an optimizer step writes parameters, so
+separate models run in parallel threads freely, but one model trains in one
+thread at a time. Recognition runs untaped and writes nothing to the model,
+so any number of threads recognize with one model at once.
 """
 
 import threading

@@ -108,21 +108,21 @@ def evaluate(model, dataset, transform="none", batch_size=16):
     """Greedy-decode a dataset and score case-insensitive exact matches.
 
     The requested robustness transform is applied to each raw render before
-    preprocessing. Runs in eval mode, restores each batch norm's mode on
-    return, and touches no parameter or running statistic.
+    preprocessing. Recognition is untaped, so it runs inference arithmetic
+    in any batch-norm mode and touches no parameter, running statistic or
+    mode.
     """
     predictions = []
     labels = []
-    with model.evaluating():
-        for start in range(0, len(dataset), batch_size):
-            idxs = range(start, min(start + batch_size, len(dataset)))
-            imgs = []
-            for i in idxs:
-                raw = dataset.raw(i)
-                raw = apply_transform(raw, transform, seed=[dataset.seed(i), 1])
-                imgs.append(preprocess(raw))
-                labels.append(dataset.label(i))
-            predictions.extend(model.recognize(stack_images(imgs)))
+    for start in range(0, len(dataset), batch_size):
+        idxs = range(start, min(start + batch_size, len(dataset)))
+        imgs = []
+        for i in idxs:
+            raw = dataset.raw(i)
+            raw = apply_transform(raw, transform, seed=[dataset.seed(i), 1])
+            imgs.append(preprocess(raw))
+            labels.append(dataset.label(i))
+        predictions.extend(model.recognize(stack_images(imgs)))
     hits = sum(p.casefold() == l.casefold() for p, l in zip(predictions, labels))
     return EvalResult(accuracy=hits / max(1, len(labels)),
                       predictions=predictions, labels=labels)

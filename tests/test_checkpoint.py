@@ -150,6 +150,12 @@ def test_rejects_manifest_mismatches(tmp_path):
     with pytest.raises(CheckpointError, match="unknown dtype"):
         load_checkpoint(typed)
 
+    for key in ("name", "dtype"):  # unhashable, so they must not reach a lookup
+        listed = tmp_path / f"{key}-list.ckpt"
+        rewrite_manifest(path, listed, lambda m: m["tensors"][0].update({key: ["f32"]}))
+        with pytest.raises(CheckpointError, match="malformed tensor entry"):
+            load_checkpoint(listed)
+
     dropped = tmp_path / "drop.ckpt"
     rewrite_manifest(path, dropped, lambda m: m["tensors"].pop())
     with pytest.raises(CheckpointError, match="expects"):
@@ -200,7 +206,9 @@ def test_rejects_manifest_without_config_or_tensors(tmp_path):
                       lambda m: m["tensors"].__setitem__(0, [1, 2]),
                       lambda m: m["tensors"][0].update(offset="a"),
                       lambda m: m["tensors"][0].update(offset=-4),
-                      lambda m: m["tensors"][0].update(shape=5)):
+                      lambda m: m["tensors"][0].update(shape=5),
+                      lambda m: m["tensors"][0].update(offset=False),
+                      lambda m: m["tensors"][0]["shape"].__setitem__(0, True)):
         rewrite_manifest(base, path, bad_entry)
         with pytest.raises(CheckpointError, match="malformed tensor entry"):
             load_checkpoint(path)

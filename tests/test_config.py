@@ -10,6 +10,11 @@ def test_defaults_validate():
     assert cfg.channels == 8 and cfg.num_scales == 3 and cfg.max_length == 25
 
 
+def test_float_fields_accept_ints():
+    cfg = ModelConfig.from_dict({"noise": 0, "shear_deg": 8, "max_steps": None})
+    assert cfg.noise == 0 and cfg.shear_deg == 8
+
+
 def test_json_round_trip(tmp_path):
     cfg = ModelConfig(channels=16, epochs=2, alphabet="abc", precision="f64")
     path = tmp_path / "cfg.json"
@@ -45,6 +50,13 @@ def test_validation_errors():
         (dict(num_scales=9), "num_scales"),
         (dict(train_samples=0), "train_samples"),
         (dict(max_steps=0), "max_steps"),
+        (dict(channels="8"), "channels must be int"),
+        (dict(channels=8.0), "channels must be int"),
+        (dict(epochs=True), "epochs must be int"),
+        (dict(max_steps=1.5), "max_steps must be int or None"),
+        (dict(vab_enabled=1), "vab_enabled must be bool"),
+        (dict(noise="0.05"), "noise must be float"),
+        (dict(alphabet=["a"]), "alphabet must be str"),
     ]
     for kw, msg in cases:
         with pytest.raises(ValueError, match=msg):

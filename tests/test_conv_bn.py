@@ -1,7 +1,7 @@
-"""Batch norm folded into its conv in eval mode: same features, fresh every call.
+"""Batch norm folded into its conv with no tape: same features, fresh every call.
 
-Eval mode with no tape runs each conv->BN pair as one conv whose weight and
-bias absorb the batch norm. Everything else (train mode, or any tape) keeps
+With no tape open, each conv->BN pair runs as one conv whose weight and bias
+absorb the batch norm's running statistics, whatever its mode. Any tape keeps
 the two ops, so training rounds exactly as before.
 """
 

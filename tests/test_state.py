@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 import psan
+from psan.checkpoint import load_checkpoint, save_checkpoint
 from psan.config import ModelConfig
 from psan.model import TextRecognizer
 from psan.tensor import Tape, Tensor, backward
@@ -102,9 +103,10 @@ def test_f32_and_f64_models_recognize_at_once_in_parallel_threads():
 
 
 def test_threads_recognizing_with_one_train_mode_model_leave_its_modes_alone():
-    """Two threads recognize with each of 20 train-mode models. `evaluating()`
-    holds the model's lock for its block, so neither thread can save the eval
-    flags the other set and restore them after it."""
+    """Two threads recognize with each of 20 train-mode models at once.
+    Recognition is untaped and writes nothing to the model, not even a mode,
+    so the threads need not take turns: every mode stays as it was and every
+    text matches the serial run."""
     models = [TextRecognizer(tiny_cfg(seed=s)) for s in range(20)]
     images = pixels(7, n=1)
     serial = [m.recognize(images) for m in models]
@@ -117,6 +119,28 @@ def test_threads_recognizing_with_one_train_mode_model_leave_its_modes_alone():
         sys.setswitchinterval(switch)
     assert all(bn.training for m in models for bn in m.batchnorms)
     assert got == [[[texts] * 3 for texts in serial]] * 2
+
+
+def test_untaped_features_of_a_train_mode_model_are_inference_and_write_nothing(tmp_path):
+    """A model as `load_checkpoint` returns it, in train mode, computes the
+    eval-mode features bit for bit with no tape open, and every state array
+    stays byte-identical."""
+    model = TextRecognizer(tiny_cfg())
+    rng = np.random.default_rng(0)
+    for name, arr in model.state_entries():
+        if "running" in name:  # visibly non-default statistics
+            arr[...] = rng.uniform(0.1, 0.9, arr.shape)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model)
+    loaded, _ = load_checkpoint(path)
+    assert all(bn.training for bn in loaded.batchnorms)
+    images = pixels(3)
+    before = [(name, arr.tobytes()) for name, arr in loaded.state_entries()]
+    got = loaded.features(images).data
+    assert [(name, arr.tobytes()) for name, arr in loaded.state_entries()] == before
+    loaded.eval()
+    want = loaded.features(images).data
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def bindings(model):

@@ -1,7 +1,6 @@
 """Training loop and evaluation: determinism, schedule, abort diagnostics,
 checkpoint cadence, and the scoring rules."""
 
-import contextlib
 import sys
 
 import numpy as np
@@ -140,9 +139,6 @@ class EchoUpper:
         self.cursor = 0
         self.batches = []
 
-    def evaluating(self):
-        return contextlib.nullcontext()
-
     def recognize(self, images):
         n = images.shape[0]
         self.batches.append(images.data.copy())
@@ -194,17 +190,23 @@ def test_evaluate_touches_no_state():
 
 
 def test_evaluate_restores_each_batch_norm_mode():
+    """Whatever the modes, evaluate predicts with the running statistics:
+    exactly what the same model predicts in eval mode."""
     cfg = tiny_cfg()
     model = TextRecognizer(cfg)
+    rng = np.random.default_rng(0)
+    for name, arr in model.state_entries():
+        if "running" in name:  # visibly non-default statistics
+            arr[...] = rng.uniform(0.1, 0.9, arr.shape)
+    model.decoder.cls.bias.value.data[model.charset.eos] = -1e4  # full-length texts
     bns = [m for m in model.modules() if isinstance(m, BatchNorm2d)]
     bns[0].training = False  # a mixed state must come back exactly
     before = [m.training for m in bns]
-    seen = []
-    real = model.recognize
-    model.recognize = lambda images: (seen.append([m.training for m in bns]), real(images))[1]
-    evaluate(model, dataset_from_config(cfg, count=4))
-    assert seen and not any(any(flags) for flags in seen)
+    ds = dataset_from_config(cfg, count=4)
+    predictions = evaluate(model, ds).predictions
     assert [m.training for m in bns] == before
+    model.eval()
+    assert evaluate(model, ds).predictions == predictions
 
 
 def test_recognize_on_a_training_model_leaves_state_and_modes():
