@@ -112,10 +112,10 @@ def _eval_dataset(args, cfg):
 
 def _cmd_gen_data(args):
     cfg = ModelConfig.load(args.config) if args.config else ModelConfig()
-    os.makedirs(args.out, exist_ok=True)
     ds = SyntheticDataset(args.count, args.seed, cfg.alphabet,
                           min_len=cfg.label_min_len, max_len=cfg.label_max_len,
                           opts=cfg.render_options())
+    os.makedirs(args.out, exist_ok=True)
     manifest = os.path.join(args.out, "manifest.tsv")
     ds.write_manifest(manifest)
     if args.export_pgm:

@@ -229,6 +229,8 @@ class SyntheticDataset:
         if records is not None:
             self.records = list(records)
         else:
+            if count < 1:
+                raise ValueError(f"dataset count must be >= 1, got {count}")
             if not alphabet:
                 raise ValueError("alphabet must be non-empty")
             for ch in alphabet:

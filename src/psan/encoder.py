@@ -50,8 +50,8 @@ class ResidualUnit(Module):
         self.bn3 = self.child(BatchNorm2d(f"{name}.bn3", channels))
 
     def forward(self, x):
-        y = ops.relu(conv_bn(self.conv1, self.bn1, x))
-        y = ops.relu(conv_bn(self.conv2, self.bn2, y))
+        y = conv_bn(self.conv1, self.bn1, x, relu=True)
+        y = conv_bn(self.conv2, self.bn2, y, relu=True)
         y = conv_bn(self.conv3, self.bn3, y)
         return ops.relu(ops.add(y, x))
 

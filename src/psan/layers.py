@@ -131,27 +131,33 @@ class BatchNorm2d(Module):
                                training=self.training)
 
 
-def conv_bn(conv, bn, x):
-    """bn(conv(x)), with the batch norm folded into the convolution whenever
-    no tape records.
+def conv_bn(conv, bn, x, relu=False):
+    """bn(conv(x)), then relu when asked: one fused node under a tape, the
+    batch norm folded into the convolution with none.
 
-    The tape alone decides between training and inference arithmetic. With
-    no tape the pair is inference whatever `bn.training` says, and writes
-    nothing: batch norm is the per-channel affine map y = k * (z - mean) +
-    beta with k = gamma / sqrt(running_var + eps), so the pair is one conv
-    with weight W * k and bias (b - mean) * k + beta. The fold is rebuilt
-    from the current arrays on every call, so it never goes stale. It rounds
-    differently from the two-op form (about 1e-6 of the largest feature in
-    float32), so a taped forward keeps the two ops; there the batch norm's
-    mode picks batch statistics (train) or running ones (eval).
+    The tape alone decides between training and inference arithmetic. Under
+    a tape the pair records one `ops.conv_bn` node in the calling module's
+    scope; the batch norm's mode picks batch statistics (train) or running
+    ones (eval). It rounds exactly as the separate conv2d, batchnorm2d and
+    relu ops. With no tape the pair is inference whatever `bn.training`
+    says, and writes nothing: batch norm is the per-channel affine map y =
+    k * (z - mean) + beta with k = gamma / sqrt(running_var + eps), so the
+    pair is one conv with weight W * k and bias (b - mean) * k + beta. The
+    fold is rebuilt from the current arrays on every call, so it never goes
+    stale. It rounds differently from the taped form (about 1e-6 of the
+    largest feature in float32).
     """
     if active_tape() is not None:
-        return bn(conv(x))
+        return ops.conv_bn(x, conv.weight.value, conv.bias.value, bn.gamma.value,
+                           bn.beta.value, bn.running_mean, bn.running_var,
+                           stride=conv.stride, padding=conv.padding, momentum=bn.momentum,
+                           eps=bn.eps, training=bn.training, relu=relu)
     w = conv.weight.value.data
     k = bn.gamma.value.data / np.sqrt(bn.running_var + bn.eps)
     bias = (conv.bias.value.data - bn.running_mean) * k + bn.beta.value.data
-    return ops.conv2d(x, Tensor(w * k[:, None, None, None], dtype=w.dtype),
-                      Tensor(bias, dtype=w.dtype), stride=conv.stride, padding=conv.padding)
+    y = ops.conv2d(x, Tensor(w * k[:, None, None, None], dtype=w.dtype),
+                   Tensor(bias, dtype=w.dtype), stride=conv.stride, padding=conv.padding)
+    return ops.relu(y) if relu else y
 
 
 class ConvBNReLU(Module):
@@ -164,7 +170,7 @@ class ConvBNReLU(Module):
         self.bn = self.child(BatchNorm2d(f"{name}.bn", c_out))
 
     def forward(self, x):
-        return ops.relu(conv_bn(self.conv, self.bn, x))
+        return conv_bn(self.conv, self.bn, x, relu=True)
 
 
 class Linear(Module):

@@ -37,7 +37,7 @@ class MergingHead(Module):
                 raise ValueError(f"scale {i + 1} pooled to {p.shape[2]}x{p.shape[3]}, "
                                  f"expected {deep_h}x{deep_w}")
         merged = ops.concat(pooled, axis=1)
-        y = ops.relu(conv_bn(self.conv, self.bn, merged))
+        y = conv_bn(self.conv, self.bn, merged, relu=True)
         n = y.shape[0]
         # Row-major flatten of each (H, W) channel map into one step vector.
         return ops.reshape(y, (n, self.max_length, deep_h * deep_w))

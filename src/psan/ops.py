@@ -6,9 +6,14 @@ of the op's primary input: its first tensor, the table for `embedding`,
 `h_prev` for `gru_cell`. Convolution is one batched
 matmul over a column matrix: the input itself for a 1x1 kernel, flat shifted
 copies for other same-size stride-1 kernels, strided im2col windows
-otherwise. The naive direct form lives in the test suite as an oracle. A
-GRU step is one fused node that rounds every value as the primitive ops it
-replaces would; the composed form lives in the test suite as its reference.
+otherwise. Backward rebuilds the columns from the input instead of keeping
+them. The naive direct form lives in the test suite as an oracle.
+
+Two fused nodes round every value as the primitive ops they replace would,
+and the composed forms live in the test suite as their references:
+`conv_bn`, a conv, its batch norm and an optional relu, which every
+conv/BN pair of a model records under a tape (conv2d and batchnorm2d share
+its code); and a GRU step.
 Input checks format their error message only when they fail, so a passing
 check costs one call, not one string per op call.
 """
@@ -61,15 +66,14 @@ def _same_shifts(k, p, h, w):
     return shifts
 
 
-def conv2d(x, weight, bias, stride=1, padding=0):
-    """2-d cross-correlation with zero padding.
+def _conv_geometry(x, weight, bias, stride, padding):
+    """Check a convolution's operands and return its output size (h_out, w_out).
 
     x: (N, C_in, H, W), weight: (C_out, C_in, kh, kw), bias: (C_out,).
-    Output spatial dims are (H + 2p - kh) // stride + 1 and likewise for W.
     """
     _require(x.ndim == 4, "conv2d: input must be 4-d, got {}", x.shape)
     _require(weight.ndim == 4, "conv2d: weight must be 4-d, got {}", weight.shape)
-    n, c_in, h, w = x.shape
+    _, c_in, h, w = x.shape
     c_out, c_in_w, kh, kw = weight.shape
     _require(c_in == c_in_w, "conv2d: channel mismatch, input {} vs weight {}", c_in, c_in_w)
     _require(bias.shape == (c_out,), "conv2d: bias shape {} != ({},)", bias.shape, c_out)
@@ -78,75 +82,178 @@ def conv2d(x, weight, bias, stride=1, padding=0):
     _require(h_out >= 1 and w_out >= 1,
              "conv2d: degenerate output {}x{} for input {}x{} kernel {}x{}",
              h_out, w_out, h, w, kh, kw)
+    return h_out, w_out
 
-    # The column matrix is (N, C_in*kh*kw, L): one row per input channel and
-    # kernel offset, so the convolution is a single batched matmul. Same-size
-    # stride-1 convolutions fill each row with one flat shifted copy, and a
-    # 1x1 kernel reads the input itself; other convolutions gather strided
-    # windows of the padded input.
+
+def _columns(xd, kh, kw, stride, padding, h_out, w_out):
+    """The (N, C_in*kh*kw, L) column matrix of input array xd.
+
+    One row per input channel and kernel offset, so the convolution is a
+    single batched matmul. Same-size stride-1 convolutions fill each row
+    with one flat shifted copy, and a 1x1 kernel reads the input itself;
+    other convolutions gather strided windows of the padded input.
+    """
+    n, c_in, h, w = xd.shape
     l = h_out * w_out
-    same = stride == 1 and kh == kw == 2 * padding + 1
-    if same and kh == 1:
-        cols2 = x.data.reshape(n, c_in, l)  # a view: nothing copied or retained
-    elif same:
-        shifts = _same_shifts(kh, padding, h, w)
-        xf = x.data.reshape(n, c_in, l)
+    if stride == 1 and kh == kw == 2 * padding + 1:
+        if kh == 1:
+            return xd.reshape(n, c_in, l)  # a view: nothing copied
+        xf = xd.reshape(n, c_in, l)
         cols = np.empty((n, c_in, kh * kw, h, w), dtype=xf.dtype)
         flat = cols.reshape(n, c_in, kh * kw, l)
-        for t, (s, lo, hi, edge) in enumerate(shifts):
+        for t, (s, lo, hi, edge) in enumerate(_same_shifts(kh, padding, h, w)):
             flat[:, :, t, lo:hi] = xf[:, :, lo + s:hi + s]
             flat[:, :, t, :lo] = 0
             flat[:, :, t, hi:] = 0
             cols[:, :, t, :, edge] = 0
-        cols2 = flat.reshape(n, c_in * kh * kw, l)
-    else:
-        xp = x.data
-        if padding > 0:
-            xp = np.zeros((n, c_in, h + 2 * padding, w + 2 * padding), dtype=xp.dtype)
-            xp[:, :, padding:padding + h, padding:padding + w] = x.data
-        cols = np.empty((n, c_in, kh, kw, h_out, w_out), dtype=xp.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                cols[:, :, i, j] = xp[:, :, i:i + stride * h_out:stride, j:j + stride * w_out:stride]
-        cols2 = cols.reshape(n, c_in * kh * kw, l)
-    wmat = weight.data.reshape(c_out, c_in * kh * kw)
-    out_data = np.matmul(wmat[None], cols2)  # (N, C_out, L)
-    out_data += bias.data[:, None]
-    out = Tensor(out_data.reshape(n, c_out, h_out, w_out), dtype=x.data.dtype)
+        return flat.reshape(n, c_in * kh * kw, l)
+    xp = xd
+    if padding > 0:
+        xp = np.zeros((n, c_in, h + 2 * padding, w + 2 * padding), dtype=xd.dtype)
+        xp[:, :, padding:padding + h, padding:padding + w] = xd
+    cols = np.empty((n, c_in, kh, kw, h_out, w_out), dtype=xp.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i:i + stride * h_out:stride, j:j + stride * w_out:stride]
+    return cols.reshape(n, c_in * kh * kw, l)
 
-    def bwd(g):
-        gmat = g.reshape(n, c_out, l)
-        if bias.requires_grad:
-            accumulate_grad(bias, _channel_sum(gmat))
-        if weight.requires_grad:
-            gw = np.matmul(gmat, cols2.transpose(0, 2, 1)).sum(axis=0)
-            accumulate_grad(weight, gw.reshape(weight.shape))
-        if not x.requires_grad:
-            return
-        gcols = np.matmul(wmat.T[None], gmat)
-        if same and kh == 1:
+
+def _conv_forward(xd, wd, bd, stride, padding, h_out, w_out):
+    """Convolution of arrays as an (N, C_out, L) array: one batched matmul
+    of the weight over the column matrix, then the bias."""
+    c_out, c_in, kh, kw = wd.shape
+    cols2 = _columns(xd, kh, kw, stride, padding, h_out, w_out)
+    out = np.matmul(wd.reshape(c_out, c_in * kh * kw)[None], cols2)
+    out += bd[:, None]
+    return out
+
+
+def _conv_backward(x, weight, bias, g, stride, padding):
+    """Hand a convolution's bias, weight and input their gradients, in that
+    order, from the (N, C_out, h_out, w_out) output gradient g. Nothing of
+    forward is needed but the operands."""
+    n, c_in, h, w = x.shape
+    c_out, _, kh, kw = weight.shape
+    _, _, h_out, w_out = g.shape
+    l = h_out * w_out
+    gmat = g.reshape(n, c_out, l)
+    if bias.requires_grad:
+        accumulate_grad(bias, _channel_sum(gmat))
+    if weight.requires_grad:
+        # the column matrix rebuilt from x: the same copies forward made, so
+        # the same bits, and freed before the input gradient is formed
+        cols2 = _columns(x.data, kh, kw, stride, padding, h_out, w_out)
+        gw = np.matmul(gmat, cols2.transpose(0, 2, 1)).sum(axis=0)
+        del cols2
+        accumulate_grad(weight, gw.reshape(weight.shape))
+    if not x.requires_grad:
+        return
+    gcols = np.matmul(weight.data.reshape(c_out, c_in * kh * kw).T[None], gmat)
+    if stride == 1 and kh == kw == 2 * padding + 1:
+        if kh == 1:
             gx = gcols.reshape(x.shape)
-        elif same:
+        else:
             # add each shifted row back in offset order, the padding pixels
             # zeroed, so every sum rounds as in the strided scatter below
             gflat = gcols.reshape(n, c_in, kh * kw, l)
             ggrid = gcols.reshape(n, c_in, kh * kw, h, w)
             gx = np.zeros((n, c_in, l), dtype=gcols.dtype)
-            for t, (s, lo, hi, edge) in enumerate(shifts):
+            for t, (s, lo, hi, edge) in enumerate(_same_shifts(kh, padding, h, w)):
                 ggrid[:, :, t, :, edge] = 0
                 gx[:, :, lo + s:hi + s] += gflat[:, :, t, lo:hi]
             gx = gx.reshape(x.shape)
-        else:
-            gcols = gcols.reshape(n, c_in, kh, kw, h_out, w_out)
-            gx = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kw):
-                    gx[:, :, i:i + stride * h_out:stride, j:j + stride * w_out:stride] += gcols[:, :, i, j]
-            if padding > 0:
-                gx = gx[:, :, padding:padding + h, padding:padding + w]
-        accumulate_grad(x, gx)
+    else:
+        gcols = gcols.reshape(n, c_in, kh, kw, h_out, w_out)
+        gx = np.zeros((n, c_in, h + 2 * padding, w + 2 * padding), dtype=x.data.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                gx[:, :, i:i + stride * h_out:stride, j:j + stride * w_out:stride] += gcols[:, :, i, j]
+        if padding > 0:
+            gx = gx[:, :, padding:padding + h, padding:padding + w]
+    accumulate_grad(x, gx)
+
+
+def conv2d(x, weight, bias, stride=1, padding=0):
+    """2-d cross-correlation with zero padding.
+
+    x: (N, C_in, H, W), weight: (C_out, C_in, kh, kw), bias: (C_out,).
+    Output spatial dims are (H + 2p - kh) // stride + 1 and likewise for W.
+    Backward keeps no column matrix: it rebuilds one from x when the weight
+    needs a gradient.
+    """
+    h_out, w_out = _conv_geometry(x, weight, bias, stride, padding)
+    out_data = _conv_forward(x.data, weight.data, bias.data, stride, padding, h_out, w_out)
+    out = Tensor(out_data.reshape(x.shape[0], weight.shape[0], h_out, w_out), dtype=x.data.dtype)
+
+    def bwd(g):
+        _conv_backward(x, weight, bias, g, stride, padding)
 
     return record("conv2d", (x, weight, bias), out, bwd)
+
+
+def _bn_forward(xv, gamma, beta, running_mean, running_var, momentum, eps, training,
+                out=None):
+    """Batch norm of an (N, C, L) array; returns (output, x_hat, invstd).
+
+    The output goes into `out`, a fresh buffer if None. `out` may be xv
+    itself: xv is read only before x_hat exists. Train mode folds the batch
+    statistics into the running ones in place.
+    """
+    n, c, l = xv.shape
+    _require(gamma.shape == (c,) and beta.shape == (c,),
+             "batchnorm2d: gamma/beta must be ({},)", c)
+    count = n * l
+    if training:
+        _require(count >= 2,
+                 "batchnorm2d: train mode needs at least 2 values per channel, got {}", count)
+        mean = _channel_sum(xv) / count
+        xhat = xv - mean[:, None]
+        if out is None:
+            out = np.empty_like(xhat)
+        # squared deviations go into the output buffer, overwritten below
+        np.multiply(xhat, xhat, out=out)
+        var = _channel_sum(out) / count
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mean
+        running_var *= 1.0 - momentum
+        running_var += momentum * var
+        invstd = 1.0 / np.sqrt(var + eps)
+    else:
+        invstd = 1.0 / np.sqrt(running_var + eps)
+        xhat = xv - running_mean[:, None]
+        if out is None:
+            out = np.empty_like(xhat)
+    xhat *= invstd[:, None]
+    np.multiply(xhat, gamma.data[:, None], out=out)
+    out += beta.data[:, None]
+    return out, xhat, invstd
+
+
+def _bn_backward(gv, xhat, invstd, gamma, beta, training, need_x):
+    """Hand beta and gamma their gradients from the (N, C, L) output gradient
+    gv, and return the input gradient (None unless need_x).
+
+    The train-mode input gradient (gxhat - (sum(gxhat) + x_hat *
+    sum(gxhat * x_hat)) / cnt) * invstd, with gxhat = gamma * g and cnt =
+    N*L, takes two buffers.
+    """
+    accumulate_grad(beta, _channel_sum(gv))
+    if training or gamma.requires_grad:
+        buf = gv * xhat
+        accumulate_grad(gamma, _channel_sum(buf))
+    if not need_x:
+        return None
+    gx = gv * gamma.data[:, None]
+    if training:
+        s1 = _channel_sum(gx)
+        np.multiply(gx, xhat, out=buf)
+        s2 = _channel_sum(buf)
+        np.multiply(xhat, s2[:, None], out=buf)
+        buf += s1[:, None]
+        buf /= gv.shape[0] * gv.shape[2]
+        gx -= buf
+    gx *= invstd[:, None]
+    return gx
 
 
 def batchnorm2d(x, gamma, beta, running_mean, running_var, momentum=0.1,
@@ -158,66 +265,61 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, momentum=0.1,
     momentum * batch. Eval mode normalizes with the running estimates and
     never mutates them.
 
-    Both modes work in place on an (N, C, H*W) view: forward centers once,
-    scales and shifts one output buffer, and the train-mode input gradient
-    (gxhat - (sum(gxhat) + x_hat * sum(gxhat * x_hat)) / cnt) * invstd, with
-    gxhat = gamma * g and cnt = N*H*W, takes two buffers. Each value rounds
-    exactly as in the plain broadcast expressions, because float32 training
-    results (and the acceptance gates) move with any reassociation. Eval mode
-    keeps no x_hat; backward recomputes it when gamma needs a gradient.
+    Both modes work in place on an (N, C, H*W) view and keep x_hat for
+    backward. Each value rounds exactly as in the plain broadcast
+    expressions, because float32 training results (and the acceptance
+    gates) move with any reassociation.
     """
     _require(x.ndim == 4, "batchnorm2d: input must be 4-d, got {}", x.shape)
     n, c, h, w = x.shape
-    _require(gamma.shape == (c,) and beta.shape == (c,),
-             "batchnorm2d: gamma/beta must be ({},)", c)
-    count = n * h * w
-    xv = x.data.reshape(n, c, h * w)
-    if training:
-        _require(count >= 2,
-                 "batchnorm2d: train mode needs at least 2 values per channel, got {}", count)
-        mean = _channel_sum(xv) / count
-        xhat = xv - mean[:, None]
-        # squared deviations go into the output buffer, overwritten below
-        out_data = np.multiply(xhat, xhat)
-        var = _channel_sum(out_data) / count
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
-        running_var *= 1.0 - momentum
-        running_var += momentum * var
-        invstd = 1.0 / np.sqrt(var + eps)
-        xhat *= invstd[:, None]
-        np.multiply(xhat, gamma.data[:, None], out=out_data)
-    else:
-        mean = running_mean.copy()  # backward must see this call's statistics
-        invstd = 1.0 / np.sqrt(running_var + eps)
-        out_data = xv - mean[:, None]
-        out_data *= invstd[:, None]
-        out_data *= gamma.data[:, None]
-    out_data += beta.data[:, None]
+    out_data, xhat, invstd = _bn_forward(x.data.reshape(n, c, h * w), gamma, beta,
+                                         running_mean, running_var, momentum, eps, training)
     out = Tensor(out_data.reshape(n, c, h, w), dtype=x.data.dtype)
 
     def bwd(g):
-        gv = g.reshape(n, c, h * w)
-        accumulate_grad(beta, _channel_sum(gv))
-        if training or gamma.requires_grad:
-            xh = xhat if training else (xv - mean[:, None]) * invstd[:, None]
-            buf = gv * xh
-            accumulate_grad(gamma, _channel_sum(buf))
-        if not x.requires_grad:
-            return
-        gx = gv * gamma.data[:, None]
-        if training:
-            s1 = _channel_sum(gx)
-            np.multiply(gx, xhat, out=buf)
-            s2 = _channel_sum(buf)
-            np.multiply(xhat, s2[:, None], out=buf)
-            buf += s1[:, None]
-            buf /= count
-            gx -= buf
-        gx *= invstd[:, None]
-        accumulate_grad(x, gx.reshape(x.shape))
+        gx = _bn_backward(g.reshape(n, c, h * w), xhat, invstd, gamma, beta, training,
+                          x.requires_grad)
+        if gx is not None:
+            accumulate_grad(x, gx.reshape(x.shape))
 
     return record("batchnorm2d", (x, gamma, beta), out, bwd)
+
+
+def conv_bn(x, weight, bias, gamma, beta, running_mean, running_var, stride=1, padding=0,
+            momentum=0.1, eps=1e-5, training=True, relu=False):
+    """batchnorm2d(conv2d(x)), then relu when asked, as one tape node.
+
+    It runs the conv2d and batchnorm2d code itself, writes the batch norm's
+    output into the dead conv output, and clamps that buffer in place for
+    the relu; the relu's kink margin goes to `tape.margins` as `relu`
+    reports it. So a node keeps only its output and x_hat: no conv output,
+    no column matrix (backward rebuilds it from x), no pre-relu values.
+    Backward multiplies by the exact 0/1 relu mask, runs batch-norm
+    backward from x_hat, then conv backward. Every value rounds as in the
+    three-op tape, and the node stands where that tape's last node stood,
+    so shared inputs receive their gradient contributions in the same order.
+    """
+    h_out, w_out = _conv_geometry(x, weight, bias, stride, padding)
+    n, c_out = x.shape[0], weight.shape[0]
+    z = _conv_forward(x.data, weight.data, bias.data, stride, padding, h_out, w_out)
+    y, xhat, invstd = _bn_forward(z, gamma, beta, running_mean, running_var, momentum, eps,
+                                  training, out=z)
+    if relu:
+        tape = active_tape()
+        if tape is not None and tape.margins is not None:
+            tape.margins.append(float(np.abs(y).min()))
+        np.maximum(y, 0, out=y)
+    out = Tensor(y.reshape(n, c_out, h_out, w_out), dtype=x.data.dtype)
+
+    def bwd(g):  # shapes come from g and xhat, so the closure keeps few cells
+        if relu:
+            g = g * (out.data > 0)
+        gz = _bn_backward(g.reshape(xhat.shape), xhat, invstd, gamma, beta, training,
+                          x.requires_grad or weight.requires_grad or bias.requires_grad)
+        if gz is not None:
+            _conv_backward(x, weight, bias, gz.reshape(g.shape), stride, padding)
+
+    return record("conv_bn", (x, weight, bias, gamma, beta), out, bwd)
 
 
 def relu(x):

@@ -204,6 +204,29 @@ def test_missing_checkpoint_is_runtime_error(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def one_error_line(capsys):
+    out, err = capsys.readouterr()
+    return out == "" and err.startswith("error:") and "count" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_eval_rejects_an_empty_dataset(workdir, capsys, count):
+    assert main(["eval", "--checkpoint", workdir["ckpt"], "--count", count]) == 1
+    assert one_error_line(capsys)
+
+
+def test_robustness_rejects_an_empty_dataset(workdir, capsys):
+    assert main(["robustness", "--checkpoint", workdir["ckpt"], "--count", "0"]) == 1
+    assert one_error_line(capsys)
+
+
+def test_gen_data_rejects_an_empty_dataset(tmp_path, capsys):
+    out = tmp_path / "corpus"
+    assert main(["gen-data", "--out", str(out), "--count", "-2"]) == 1
+    assert one_error_line(capsys)
+    assert not out.exists()
+
+
 def test_malformed_manifest_is_runtime_error(tmp_path, capsys):
     path = tmp_path / "m.ckpt"
     blob = json.dumps({"config": ModelConfig(**TINY).to_dict()}).encode("utf-8")

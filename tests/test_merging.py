@@ -67,8 +67,8 @@ def test_step_vectors_are_rowmajor_flattened_maps():
     mh.eval()
     with Tape() as tape:
         out = mh(rand_feats(rng, [(3, 4, 8, 16), (3, 8, 4, 8)]))
-    # the pre-flatten channel maps: the head's own relu, after its conv and bn
-    (maps,) = [n.output.data for n in tape.nodes if n.op == "relu" and n.scope == "mh"]
+    # the pre-flatten channel maps: the head's own fused conv, bn and relu
+    (maps,) = [n.output.data for n in tape.nodes if n.op == "conv_bn" and n.scope == "mh"]
     assert maps.shape == (3, 7, 4, 8)
     np.testing.assert_array_equal(out.data, maps.reshape(3, 7, 32))
 

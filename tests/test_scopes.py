@@ -6,8 +6,9 @@ from collections import Counter
 import numpy as np
 
 from psan.config import ModelConfig
-from psan.encoder import ResidualUnit
-from psan.layers import BatchNorm2d, Conv2d, ConvBNReLU
+from psan.encoder import ResidualUnit, VisualAttentionBlock
+from psan.layers import ConvBNReLU
+from psan.merging import MergingHead
 from psan.model import TextRecognizer
 from psan.tensor import Tape, Tensor, backward
 
@@ -33,16 +34,23 @@ def test_every_node_is_named_after_a_module():
 def test_scopes_name_the_innermost_module():
     model, tape = traced_loss()
     nodes = tape.nodes
+    fused = Counter(n.scope for n in nodes if n.op == "conv_bn")
     relus = Counter(n.scope for n in nodes if n.op == "relu")
     adds = Counter(n.scope for n in nodes if n.op == "add")
     for m in model.modules():
         if isinstance(m, ConvBNReLU):
-            assert relus[m.name] == 1, m.name
+            assert fused[m.name] == 1 and relus[m.name] == 0, m.name
         if isinstance(m, ResidualUnit):
-            assert re.search(r"\.ru\d+$", m.name) and adds[m.name] == 1, m.name
+            assert re.search(r"\.ru\d+$", m.name), m.name
+            assert fused[m.name] == 3 and adds[m.name] == 1 and relus[m.name] == 1, m.name
+        if isinstance(m, MergingHead):
+            assert fused[m.name] == 1, m.name
+    assert sum(fused.values()) == len(model.batchnorms)
     for op in ("concat", "select_step", "sequence_nll"):
         scopes = {n.scope for n in nodes if n.op == op and n.scope.startswith("model.dec")}
         assert scopes == {model.decoder.name}, op
-    for op, cls in (("conv2d", Conv2d), ("batchnorm2d", BatchNorm2d)):
-        assert (sorted(n.scope for n in nodes if n.op == op)
-                == sorted(m.name for m in model.modules() if isinstance(m, cls))), op
+    # every conv with a batch norm runs fused: conv2d nodes come only from
+    # the bare Conv2d modules, the attention blocks' score convs
+    bare = sorted(m.score.name for m in model.modules() if isinstance(m, VisualAttentionBlock))
+    assert bare and sorted(n.scope for n in nodes if n.op == "conv2d") == bare
+    assert not any(n.op == "batchnorm2d" for n in nodes)

@@ -94,7 +94,7 @@ def test_non_finite_loss_aborts_with_source():
 
 
 def test_non_finite_loss_names_the_module_scope():
-    with pytest.raises(NonFiniteError, match="conv2d in 'model.enc.stem.conv'"):
+    with pytest.raises(NonFiniteError, match="conv_bn in 'model.enc.stem'"):
         train(tiny_cfg(), dataset=NaNDataset())
 
 
