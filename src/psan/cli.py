@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 
 from . import gradcheck as gradcheck_mod
 from .checkpoint import load_checkpoint
@@ -41,15 +42,9 @@ def _add_override_flags(p):
 
 def _build_config(args):
     cfg = ModelConfig.load(args.config) if getattr(args, "config", None) else ModelConfig()
-    overrides = {
-        "channels": getattr(args, "channels", None),
-        "num_scales": getattr(args, "num_scales", None),
-        "rus_per_rs": getattr(args, "rus_per_rs", None),
-        "vab_convs": getattr(args, "vab_convs", None),
-        "max_length": getattr(args, "max_length", None),
-        "seed": getattr(args, "seed", None),
-        "precision": os.environ.get("PSAN_PRECISION"),
-    }
+    overrides = {key: getattr(args, key, None) for key in
+                 ("channels", "num_scales", "rus_per_rs", "vab_convs", "max_length", "seed")}
+    overrides["precision"] = os.environ.get("PSAN_PRECISION")
     for key, val in overrides.items():
         if val is not None:
             setattr(cfg, key, val)
@@ -128,8 +123,7 @@ def _cmd_train(args):
     cfg = _build_config(args)
     dataset = (SyntheticDataset.from_manifest(args.manifest, opts=cfg.render_options())
                if args.manifest else None)
-    log_file = open(args.log, "w", encoding="utf-8") if args.log else None
-    try:
+    with open(args.log, "w", encoding="utf-8") if args.log else nullcontext() as log_file:
         def log_fn(line):
             text = json.dumps(line, sort_keys=True)
             print(text)
@@ -137,9 +131,6 @@ def _cmd_train(args):
                 log_file.write(text + "\n")
 
         train(cfg, dataset=dataset, out_path=args.out, log_fn=log_fn)
-    finally:
-        if log_file:
-            log_file.close()
     if args.out:
         print(f"checkpoint written to {args.out}")
     return 0

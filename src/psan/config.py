@@ -5,7 +5,7 @@ import string
 from dataclasses import asdict, dataclass, fields
 from typing import get_args
 
-from .data import RenderOptions
+from .data import RenderOptions, atomic_write
 from .decoder import DEFAULT_CHARSET
 from .encoder import EncoderConfig
 
@@ -102,6 +102,6 @@ class ModelConfig:
         return cls.from_dict(d)
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as f:
+        with atomic_write(path, "w") as f:
             json.dump(self.to_dict(), f, indent=2, sort_keys=True)
             f.write("\n")

@@ -8,6 +8,9 @@ normalizes to [-1, 1], and right-pads to width 128.
 """
 
 import hashlib
+import os
+import threading
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -269,7 +272,7 @@ class SyntheticDataset:
         return img
 
     def write_manifest(self, path):
-        with open(path, "w", encoding="utf-8") as f:
+        with atomic_write(path, "w") as f:
             for idx, label, seed in self.records:
                 f.write(f"{idx}\t{label}\t{seed}\n")
 
@@ -298,13 +301,29 @@ class SyntheticDataset:
         return paths
 
 
+@contextmanager
+def atomic_write(path, mode):
+    """Write `path` through a temporary file beside it ("w" UTF-8 text, "wb"
+    bytes) that is renamed over `path` when the block returns, so a failed
+    write leaves the old file and no temporary. The name is per thread."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def write_pgm(path, gray):
     """Write a [0, 1] float grayscale array as an 8-bit binary PGM (P5)."""
     arr = np.clip(np.asarray(gray) * 255.0 + 0.5, 0, 255).astype(np.uint8)
     h, w = arr.shape
-    with open(path, "wb") as f:
+    with atomic_write(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        f.write(arr.tobytes())
+        f.write(arr)
 
 
 def read_pgm(path):

@@ -55,10 +55,7 @@ class Module:
         return module
 
     def params(self):
-        out = list(self._params)
-        for c in self._children:
-            out.extend(c.params())
-        return out
+        return [p for m in self.modules() for p in m._params]
 
     def modules(self):
         yield self

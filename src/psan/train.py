@@ -50,6 +50,7 @@ def train(cfg, dataset=None, out_path=None, log_fn=None, target_loss=None):
     cfg.validate()
     model = TextRecognizer(cfg)
     model.train()
+    params = model.params()
     if dataset is None:
         dataset = dataset_from_config(cfg)
     order_rng = np.random.default_rng([cfg.seed, 17])
@@ -73,8 +74,8 @@ def train(cfg, dataset=None, out_path=None, log_fn=None, target_loss=None):
                     raise NonFiniteError(f"non-finite loss at step {step + 1}: "
                                          f"first non-finite tensor from {source}")
                 backward(loss, tape)
-            adadelta_step(model.params(), lr_scale=lr_scale)
-            zero_grad(model.params())
+            adadelta_step(params, lr_scale=lr_scale)
+            zero_grad(params)
             step += 1
             line = {"step": step, "epoch": epoch, "loss": loss_val, "lr_scale": lr_scale}
             metrics.append(line)

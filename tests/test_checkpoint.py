@@ -6,6 +6,8 @@ import struct
 import subprocess
 import sys
 import textwrap
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -242,3 +244,64 @@ def test_failed_save_keeps_the_old_file(tmp_path):
     assert proc.stdout.startswith("failed"), proc.stdout
     assert path.read_bytes() == old
     assert sorted(os.listdir(tmp_path)) == ["m.ckpt"]
+
+
+def test_concurrent_saves_to_one_path_leave_one_whole_checkpoint(tmp_path):
+    """Threads saving to the same path never share a temporary file: no save
+    raises, and the file left is exactly one of the models' checkpoints."""
+    models = [TextRecognizer(tiny_cfg(seed=s)) for s in range(4)]
+    expected = set()
+    for i, model in enumerate(models):
+        save_checkpoint(tmp_path / f"ref{i}.ckpt", model)
+        expected.add((tmp_path / f"ref{i}.ckpt").read_bytes())
+    path = tmp_path / "shared.ckpt"
+    start = threading.Barrier(len(models))
+    errors = []
+
+    def saver(model):
+        start.wait()
+        for _ in range(20):
+            try:
+                save_checkpoint(path, model)
+            except Exception as exc:  # collected, so the main thread can fail on it
+                errors.append(exc)
+
+    threads = [threading.Thread(target=saver, args=(m,)) for m in models]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert path.read_bytes() in expected
+    assert sorted(os.listdir(tmp_path)) == sorted(["shared.ckpt"] + [f"ref{i}.ckpt" for i in range(4)])
+
+
+def test_checkpoint_io_holds_no_copy_of_the_payload(tmp_path):
+    """Saving streams the model's arrays to the file, and loading reads each
+    tensor into the model, so neither call's transient peak (the traced peak
+    minus what the call leaves held) nears the file size. The default config,
+    because a tiny model's JSON manifest outweighs its payload."""
+    path = tmp_path / "default.ckpt"
+    model = TextRecognizer(ModelConfig())
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        save_checkpoint(path, model)
+        held, peak = tracemalloc.get_traced_memory()
+        save_transient = peak - held
+        tracemalloc.reset_peak()
+        loaded, _ = load_checkpoint(path)
+        held, peak = tracemalloc.get_traced_memory()
+        load_transient = peak - held
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert save_transient < size / 2, (save_transient, size)
+    assert load_transient < size / 2, (load_transient, size)
+    assert len(loaded.state_entries()) == len(model.state_entries())

@@ -1,5 +1,7 @@
 """Run-configuration loading, validation, and JSON round trips."""
 
+import os
+
 import pytest
 
 from psan.config import ModelConfig
@@ -20,6 +22,18 @@ def test_json_round_trip(tmp_path):
     path = tmp_path / "cfg.json"
     cfg.save(path)
     assert ModelConfig.load(path) == cfg
+
+
+def test_failed_save_keeps_the_old_file(tmp_path):
+    path = tmp_path / "cfg.json"
+    ModelConfig(channels=16).save(path)
+    old = path.read_bytes()
+    cfg = ModelConfig()
+    cfg.seed = object()  # json cannot encode it, and fails mid-way through the dump
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        cfg.save(path)
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 def test_unknown_keys_rejected():

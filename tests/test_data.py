@@ -1,6 +1,8 @@
 """Synthetic data pipeline: glyph table, rendering, preprocessing,
 robustness transforms, dataset reproducibility, and PGM file handling."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,24 @@ def test_manifest_round_trip(tmp_path):
     back = SyntheticDataset.from_manifest(path)
     assert back.records == ds.records
     np.testing.assert_array_equal(back.image(2).data, ds.image(2).data)
+
+
+class _Unwritable(str):
+    def __format__(self, spec):
+        raise RuntimeError("label cannot be formatted")
+
+
+def test_failed_manifest_write_keeps_the_old_file(tmp_path):
+    ds = SyntheticDataset(4, seed=9, alphabet="xyz", max_len=5)
+    path = tmp_path / "manifest.tsv"
+    ds.write_manifest(path)
+    old = path.read_bytes()
+    idx, _, seed = ds.records[2]
+    ds.records[2] = (idx, _Unwritable("xy"), seed)
+    with pytest.raises(RuntimeError, match="cannot be formatted"):
+        ds.write_manifest(path)
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["manifest.tsv"]
 
 
 def test_manifest_rejects_malformed_lines(tmp_path):
