@@ -135,10 +135,12 @@ def conv_bn(conv, bn, x, relu=False):
     relu ops. With no tape the pair is inference whatever `bn.training`
     says, and writes nothing: batch norm is the per-channel affine map y =
     k * (z - mean) + beta with k = gamma / sqrt(running_var + BN_EPS), so the
-    pair is one conv with weight W * k and bias (b - mean) * k + beta. The
-    fold is rebuilt from the current arrays on every call, so it never goes
-    stale. It rounds differently from the taped form (about 1e-6 of the
-    largest feature in float32).
+    pair is one conv with weight W * k and bias (b - mean) * k + beta, and
+    the relu clamps that conv's fresh output in place: the same values as
+    `ops.relu`, with no relu op and no second buffer. The fold is rebuilt
+    from the current arrays on every call, so it never goes stale. It rounds
+    differently from the taped form (about 1e-6 of the largest feature in
+    float32).
     """
     if active_tape() is not None:
         return ops.conv_bn(x, conv.weight.value, conv.bias.value, bn.gamma.value,
@@ -150,7 +152,9 @@ def conv_bn(conv, bn, x, relu=False):
     bias = (conv.bias.value.data - bn.running_mean) * k + bn.beta.value.data
     y = ops.conv2d(x, Tensor(w * k[:, None, None, None], dtype=w.dtype),
                    Tensor(bias, dtype=w.dtype), stride=conv.stride, padding=conv.padding)
-    return ops.relu(y) if relu else y
+    if relu:  # y is the conv's own fresh output: no other array can see the write
+        np.maximum(y.data, 0, out=y.data)
+    return y
 
 
 class ConvBNReLU(Module):

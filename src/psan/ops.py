@@ -4,11 +4,11 @@ Every function takes and returns Tensors, computes forward with numpy, and
 registers its backward rule on the active tape. An output takes the dtype
 of the op's primary input: its first tensor, the table for `embedding`,
 `h_prev` for `gru_cell`. Convolution is one batched
-matmul over a column matrix: the input itself for a 1x1 kernel, contiguous
-slices of one zero-padded flat copy of the input for other same-size
-stride-1 kernels, strided im2col windows otherwise. Backward rebuilds the
-columns from the input instead of keeping them. The naive direct form lives
-in the test suite as an oracle.
+matmul over a column matrix: the input itself for a 1x1 kernel, otherwise
+one strided copy of a window view over a zero-padded copy of the input
+(flat for same-size stride-1 kernels, 2-d for the rest). Backward rebuilds
+the columns from the input instead of keeping them. The naive direct form
+and the per-offset strided windows live in the test suite as oracles.
 
 Two fused nodes round every value as the primitive ops they replace would,
 and the composed forms live in the test suite as their references:
@@ -20,6 +20,7 @@ check costs one call, not one string per op call.
 """
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -76,15 +77,18 @@ def _conv_geometry(x, weight, bias, stride, padding):
 
 
 def _columns(xd, kh, kw, stride, padding, h_out, w_out):
-    """The (N, C_in*kh*kw, L) column matrix of input array xd.
+    """The (N, C_in*kh*kw, L) column matrix of C-contiguous input array xd.
 
     One row per input channel and kernel offset, so the convolution is a
-    single batched matmul. A 1x1 kernel reads the input itself. Other
-    same-size stride-1 convolutions copy the flattened input once into a
-    buffer with p*W + p zeros on each side: each offset's row is then one
-    contiguous slice of it, and only the columns whose read wraps across a
-    row end are zeroed. Other convolutions gather strided windows of the
-    padded input.
+    single batched matmul. A 1x1 kernel reads the input itself. Every other
+    kernel copies the input once into a zero-padded buffer and then the
+    columns once out of a strided window view of that buffer. For a
+    same-size stride-1 kernel the buffer is the flattened input with
+    p*W + p zeros on each side, so offset (i, j) reads the contiguous run
+    starting at i*W + j, and only the columns whose read wraps across a row
+    end are zeroed after the copy. Otherwise the buffer is the 2-d padded
+    input, and offset (i, j) reads every stride-th pixel from (i, j).
+    np.ndarray refuses a view that reaches past its buffer.
     """
     n, c_in, h, w = xd.shape
     l = h_out * w_out
@@ -94,20 +98,21 @@ def _columns(xd, kh, kw, stride, padding, h_out, w_out):
         pad = padding * w + padding
         xf = np.zeros((n, c_in, l + 2 * pad), dtype=xd.dtype)
         xf[:, :, pad:pad + l] = xd.reshape(n, c_in, l)
-        cols = np.empty((n, c_in, kh * kw, h, w), dtype=xd.dtype)
-        flat = cols.reshape(n, c_in, kh * kw, l)
-        for t, (s, edge) in enumerate(_same_offsets(kh, padding, w)):
-            flat[:, :, t] = xf[:, :, pad + s:pad + s + l]
-            cols[:, :, t, :, edge] = 0
-        return flat.reshape(n, c_in * kh * kw, l)
+        s0, s1, s = xf.strides
+        cols = np.ndarray((n, c_in, kh, kw, l), xd.dtype, buffer=xf,
+                          strides=(s0, s1, w * s, s, s)).copy()
+        grid = cols.reshape(n, c_in, kh, kw, h, w)
+        for j, (_, edge) in enumerate(islice(_same_offsets(kh, padding, w), kw)):
+            if j != padding:
+                grid[:, :, :, j, :, edge] = 0
+        return cols.reshape(n, c_in * kh * kw, l)
     xp = xd
     if padding > 0:
         xp = np.zeros((n, c_in, h + 2 * padding, w + 2 * padding), dtype=xd.dtype)
         xp[:, :, padding:padding + h, padding:padding + w] = xd
-    cols = np.empty((n, c_in, kh, kw, h_out, w_out), dtype=xp.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i:i + stride * h_out:stride, j:j + stride * w_out:stride]
+    s0, s1, s2, s3 = xp.strides
+    cols = np.ndarray((n, c_in, kh, kw, h_out, w_out), xd.dtype, buffer=xp,
+                      strides=(s0, s1, s2, s3, stride * s2, stride * s3)).copy()
     return cols.reshape(n, c_in * kh * kw, l)
 
 
@@ -335,7 +340,7 @@ def _sigmoid(d):
     pos = d >= 0
     e = np.exp(np.where(pos, -d, d))
     den = 1.0 + e
-    return np.where(pos, 1.0 / den, e / den)
+    return np.where(pos, 1.0, e) / den
 
 
 def sigmoid(x):

@@ -15,7 +15,7 @@ import pytest
 from psan import encoder, layers, merging, ops
 from psan.config import ModelConfig
 from psan.encoder import ResidualUnit
-from psan.layers import Conv2d, ConvBNReLU
+from psan.layers import BatchNorm2d, Conv2d, ConvBNReLU
 from psan.merging import MergingHead
 from psan.model import TextRecognizer
 from psan.tensor import Tape, Tensor, backward
@@ -237,6 +237,39 @@ def test_fused_op_is_bit_equal_to_the_separate_ops(case, relu, training, mode):
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.shape == w.shape
         assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["f32", "f64"])
+@pytest.mark.parametrize("relu", [True, False], ids=["relu", "no relu"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_untaped_fold_is_the_folded_conv_and_writes_nothing_it_reads(case, relu, mode,
+                                                                      monkeypatch):
+    """With no tape a pair gives the bytes of relu(conv2d(x, W*k, (b-mean)*k
+    + beta)), clamping in place with no relu op, and leaves the input (which
+    a 1x1 conv reads through a view) and every array of the pair as they
+    were."""
+    c_in, c_out, k, stride, padding, shape = CASES[case]
+    dtype = DTYPES[mode]
+    rng = np.random.default_rng(5)
+    conv = Conv2d("c", c_in, c_out, k, rng, stride=stride, padding=padding).astype(dtype)
+    bn = BatchNorm2d("bn", c_out).astype(dtype)
+    perturb(conv, rng)
+    perturb(bn, rng)
+    x = Tensor(rng.standard_normal(shape), dtype=dtype)
+    w, b = conv.weight.value.data, conv.bias.value.data
+    scale = bn.gamma.value.data / np.sqrt(bn.running_var + ops.BN_EPS)
+    want = ops.conv2d(x, Tensor(w * scale[:, None, None, None], dtype=dtype),
+                      Tensor((b - bn.running_mean) * scale + bn.beta.value.data, dtype=dtype),
+                      stride=stride, padding=padding)
+    want = ops.relu(want) if relu else want
+    arrays = ([x.data, bn.running_mean, bn.running_var]
+              + [p.value.data for p in conv.params() + bn.params()])
+    before = [a.tobytes() for a in arrays]
+    monkeypatch.setattr(ops, "relu", None)
+    got = layers.conv_bn(conv, bn, x, relu=relu).data
+    assert got.dtype == want.data.dtype and got.shape == want.shape
+    assert got.tobytes() == want.data.tobytes()
+    assert [a.tobytes() for a in arrays] == before
 
 
 @pytest.mark.parametrize("stride", [1, 2])

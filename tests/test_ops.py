@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from psan import ops
+from psan.config import ModelConfig
 from psan.layers import GRUCell
+from psan.model import TextRecognizer
 from psan.tensor import Tape, Tensor, backward, sum_all
 
 
@@ -67,6 +69,17 @@ def test_conv2d_matches_naive_oracle():
         assert np.abs(out.data - ref).max() < 1e-5
 
 
+def strided_windows(xp, kh, kw, stride, ho, wo):
+    """The im2col column matrix of padded input xp, one strided window per
+    kernel offset."""
+    n, cin = xp.shape[:2]
+    cols = np.empty((n, cin, kh, kw, ho, wo), dtype=xp.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
+    return cols.reshape(n, cin * kh * kw, ho * wo)
+
+
 def reference_conv2d(x, w, b, g, stride, padding):
     """Convolution and its gradients through strided im2col windows."""
     n, cin, h, wd = x.shape
@@ -74,11 +87,7 @@ def reference_conv2d(x, w, b, g, stride, padding):
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (wd + 2 * padding - kw) // stride + 1
-    cols = np.empty((n, cin, kh, kw, ho, wo), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
-    cols = cols.reshape(n, cin * kh * kw, ho * wo)
+    cols = strided_windows(xp, kh, kw, stride, ho, wo)
     wmat = w.reshape(cout, -1)
     out = np.matmul(wmat[None], cols) + b[:, None]
     gmat = g.reshape(n, cout, ho * wo)
@@ -112,6 +121,46 @@ def test_conv2d_rounds_like_strided_im2col(shape, k, stride, padding):
     for got, want in zip((out.data, tx.grad, tw.grad, tb.grad), ref):
         assert got.dtype == np.float32
         np.testing.assert_array_equal(got, want)
+
+
+def default_model_convs():
+    """(C, H, W, kernel, stride, padding) of every convolution one default-model
+    recognition runs."""
+    seen = set()
+    columns = ops._columns
+
+    def spy(xd, kh, kw, stride, padding, h_out, w_out):
+        seen.add(xd.shape[1:] + (kh, stride, padding))
+        return columns(xd, kh, kw, stride, padding, h_out, w_out)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ops, "_columns", spy)
+        TextRecognizer(ModelConfig()).recognize(Tensor(np.zeros((1, 3, 32, 128))))
+    return sorted(seen)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_columns_are_byte_equal_to_the_strided_windows(dtype):
+    """Every column-matrix layout copies exactly the values of the strided
+    windows: at each shape the default model runs, at grids one and two
+    pixels wide or high, a 5x5 kernel, a padded 1x1 kernel and stride 2 on
+    odd sizes."""
+    edge_cases = [(2, 1, 1, 3, 1, 1), (2, 1, 7, 3, 1, 1), (2, 6, 1, 3, 1, 1),
+                  (3, 2, 2, 3, 1, 1), (2, 2, 9, 3, 1, 1), (2, 5, 2, 3, 1, 1),
+                  (2, 4, 6, 5, 1, 2), (2, 2, 1, 5, 1, 2), (2, 1, 2, 5, 1, 2),
+                  (3, 4, 6, 1, 1, 1), (3, 5, 7, 3, 2, 1), (2, 1, 1, 3, 2, 1),
+                  (2, 7, 9, 1, 2, 0), (2, 5, 7, 3, 2, 0)]
+    rng = np.random.default_rng(4)
+    for c, h, w, k, stride, padding in default_model_convs() + edge_cases:
+        x = rng.standard_normal((2, c, h, w)).astype(dtype)
+        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        ho = (h + 2 * padding - k) // stride + 1
+        wo = (w + 2 * padding - k) // stride + 1
+        got = ops._columns(x, k, k, stride, padding, ho, wo)
+        want = strided_windows(xp, k, k, stride, ho, wo)
+        case = (c, h, w, k, stride, padding)
+        assert got.dtype == want.dtype and got.shape == want.shape, case
+        assert got.tobytes() == want.tobytes(), case
 
 
 def test_conv2d_rejects_channel_mismatch_and_degenerate_output():
