@@ -98,19 +98,19 @@ def render_word(label, seed, opts=None):
     canvas = np.full((h, w), bg, dtype=np.float64)
     x = gap
     for ch in label:
-        block = np.kron(GLYPHS[ch], np.ones((scale, scale), dtype=bool))
+        block = GLYPHS[ch].repeat(scale, 0).repeat(scale, 1)
         canvas[gap:gap + gh, x:x + gw][block] = ink
         x += gw + gap
 
     if shear != 0.0:
         # Integer per-row shift; row y moves by tan(angle) * (rows below it).
         t = np.tan(np.radians(shear))
-        offsets = np.rint(t * (h - 1 - np.arange(h))).astype(int)
+        rows = np.arange(h)
+        offsets = np.rint(t * (h - 1 - rows)).astype(int)
         offsets -= offsets.min()
         extra = offsets.max()
         sheared = np.full((h, w + extra), bg, dtype=np.float64)
-        for y in range(h):
-            sheared[y, offsets[y]:offsets[y] + w] = canvas[y]
+        sheared[rows[:, None], offsets[:, None] + np.arange(w)] = canvas
         canvas = sheared
 
     if opts.noise > 0:

@@ -366,17 +366,33 @@ def maxpool2d(x, kernel):
 
     The backward pass routes each window's gradient to its argmax, first
     occurrence in row-major window order on ties.
+
+    With no tape open, the op takes strided running maxima instead: a copy
+    of the window offset (0, 0), then `np.maximum(offset view, running)`
+    for each other offset in row-major order, with no window copy. This is
+    byte-identical to the taped argmax form, signed-zero ties and NaNs
+    included, except in a window that holds NaNs with distinct payloads
+    (NaN either way). The operand order is what keeps it so: on a tie
+    between +0.0 and -0.0 numpy's SIMD maximum returns its second operand,
+    the running value, which holds the earlier window entry.
     """
     _require(x.ndim == 4, "maxpool2d: input must be 4-d, got {}", x.shape)
     n, c, h, w = x.shape
     _require(h % kernel == 0 and w % kernel == 0,
              "maxpool2d: {}x{} not divisible by window {}", h, w, kernel)
+    tape = active_tape()
+    if tape is None:
+        out = x.data[:, :, ::kernel, ::kernel].copy()
+        for i in range(kernel):
+            for j in range(kernel):
+                if i or j:
+                    np.maximum(x.data[:, :, i::kernel, j::kernel], out, out=out)
+        return Tensor(out, dtype=x.data.dtype)
     ho, wo = h // kernel, w // kernel
     windows = (x.data.reshape(n, c, ho, kernel, wo, kernel)
                .transpose(0, 1, 2, 4, 3, 5)
                .reshape(n, c, ho, wo, kernel * kernel))
-    tape = active_tape()
-    if tape is not None and tape.margins is not None and windows.shape[-1] >= 2:
+    if tape.margins is not None and windows.shape[-1] >= 2:
         top2 = np.partition(windows, windows.shape[-1] - 2, axis=-1)
         gap = top2[..., -1] - top2[..., -2]
         # a window whose two largest entries are both exactly zero is a tie

@@ -48,6 +48,65 @@ def test_render_single_glyph_pixel_exact():
     np.testing.assert_array_equal(out, render_word("A", 999, opts))
 
 
+def kron_render_word(label, seed, opts=None):
+    """The renderer with one np.kron per glyph and one slice assignment per
+    sheared row, the reference for render_word's bytes."""
+    opts = opts or RenderOptions()
+    rng = np.random.default_rng(seed)
+    scale = opts.scale if opts.scale is not None else int(rng.integers(2, 5))
+    gap = opts.gap if opts.gap is not None else int(rng.integers(1, 3))
+    bg = opts.bg if opts.bg is not None else float(rng.uniform(0.05, 0.30))
+    ink = opts.ink if opts.ink is not None else float(rng.uniform(0.70, 0.95))
+    shear = float(rng.uniform(-opts.shear_deg, opts.shear_deg)) if opts.shear_deg > 0 else 0.0
+    gh, gw = 7 * scale, 5 * scale
+    h = gh + 2 * gap
+    w = max(len(label) * gw + (len(label) + 1) * gap, 2 * gap + 1)
+    canvas = np.full((h, w), bg, dtype=np.float64)
+    x = gap
+    for ch in label:
+        block = np.kron(GLYPHS[ch], np.ones((scale, scale), dtype=bool))
+        canvas[gap:gap + gh, x:x + gw][block] = ink
+        x += gw + gap
+    if shear != 0.0:
+        t = np.tan(np.radians(shear))
+        offsets = np.rint(t * (h - 1 - np.arange(h))).astype(int)
+        offsets -= offsets.min()
+        sheared = np.full((h, w + offsets.max()), bg, dtype=np.float64)
+        for y in range(h):
+            sheared[y, offsets[y]:offsets[y] + w] = canvas[y]
+        canvas = sheared
+    if opts.noise > 0:
+        canvas = canvas + rng.uniform(-opts.noise, opts.noise, size=canvas.shape)
+        canvas = np.clip(canvas, 0.0, 1.0)
+    return np.repeat(canvas[None], 3, axis=0)
+
+
+def assert_renders_like_kron(label, seed, opts=None):
+    got, want = render_word(label, seed, opts), kron_render_word(label, seed, opts)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes(), (label, seed, opts)
+
+
+@pytest.mark.parametrize("scale", [2, 3, 4])
+@pytest.mark.parametrize("gap", [1, 2])
+@pytest.mark.parametrize("shear_deg", [0.0, 15.0])
+@pytest.mark.parametrize("noise", [0.0, 0.05])
+def test_render_is_byte_identical_to_kron_render(scale, gap, shear_deg, noise):
+    for seed, label in enumerate(("a", "Wq", "x7!Z", "hello~world")):
+        opts = RenderOptions(scale=scale, gap=gap, noise=noise, shear_deg=shear_deg)
+        assert_renders_like_kron(label, seed, opts)
+    opts = RenderOptions(scale=scale, gap=gap, noise=noise, shear_deg=shear_deg,
+                         allow_empty=True)
+    assert_renders_like_kron("", 5, opts)
+
+
+def test_render_defaults_are_byte_identical_to_kron_render():
+    rng = np.random.default_rng(21)
+    chars = DEFAULT_CHARSET.chars
+    for _ in range(200):
+        label = "".join(rng.choice(list(chars), size=int(rng.integers(1, 11))))
+        assert_renders_like_kron(label, int(rng.integers(0, 2 ** 31)))
+
+
 def test_render_canvas_grows_with_label():
     opts = RenderOptions(scale=2, gap=2, bg=0.1, ink=0.8, noise=0.0, shear_deg=0.0)
     out = render_word("abcd", 0, opts)

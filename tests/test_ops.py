@@ -309,6 +309,58 @@ def test_maxpool_then_nearest_upsample_dominates_input():
         assert (up >= x - 1e-12).all()
 
 
+def windowed_argmax_maxpool(x, k):
+    """The taped form's forward: window copies, argmax, then a gather."""
+    n, c, h, w = x.shape
+    windows = (x.reshape(n, c, h // k, k, w // k, k)
+               .transpose(0, 1, 2, 4, 3, 5)
+               .reshape(n, c, h // k, w // k, k * k))
+    idx = windows.argmax(axis=-1)
+    return np.ascontiguousarray(np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", [2, 4])
+def test_untaped_maxpool_is_byte_identical_to_windowed_argmax(dtype, k):
+    """Inputs drawn mostly from +0.0 and -0.0 with some plain NaNs: the
+    strided running maxima keep the first occurrence's sign and NaN."""
+    rng = np.random.default_rng(13)
+    values = np.array([0.0, -0.0, 1.5, -2.0, np.nan], dtype=dtype)
+    for _ in range(40):
+        shape = (int(rng.integers(1, 4)), int(rng.integers(1, 5)),
+                 k * int(rng.integers(1, 5)), k * int(rng.integers(1, 9)))
+        x = rng.choice(values, size=shape, p=[0.4, 0.4, 0.05, 0.1, 0.05])
+        out = ops.maxpool2d(Tensor(x, dtype=dtype), k).data
+        assert out.dtype == dtype
+        assert out.tobytes() == windowed_argmax_maxpool(x, k).tobytes()
+        xt = Tensor(x, requires_grad=True, dtype=dtype)
+        with Tape():
+            assert ops.maxpool2d(xt, k).data.tobytes() == out.tobytes()
+
+
+def test_untaped_maxpool_keeps_the_first_signed_zero():
+    """np.maximum(a, b) returns b on a +0.0/-0.0 tie, so the running maximum
+    must be the second operand; swapped, the later zero's sign would win."""
+    x = np.array([[0.0, -0.0], [-0.0, 0.0]]).reshape(1, 2, 1, 2).repeat(2, axis=2)
+    out = ops.maxpool2d(Tensor(x, dtype=np.float64), 2).data
+    np.testing.assert_array_equal(np.signbit(out).ravel(), [False, True])
+
+
+def test_recognize_pools_through_the_op_twice(monkeypatch):
+    """The default 3-scale head pools scales 1 and 2 with one op call each,
+    also with no tape open, so a wrapper of the op sees both."""
+    calls = []
+    original = ops.maxpool2d
+
+    def counting(x, kernel):
+        calls.append(kernel)
+        return original(x, kernel)
+
+    monkeypatch.setattr(ops, "maxpool2d", counting)
+    TextRecognizer(ModelConfig()).recognize(Tensor(np.zeros((1, 3, 32, 128))))
+    assert sorted(calls) == [2, 4]
+
+
 def test_upsample_constant_is_exact():
     const = Tensor(np.full((1, 2, 3, 4), -0.3), dtype=np.float64)
     for factor in (2, 4):
