@@ -145,9 +145,9 @@ def _cmd_eval(args):
 
 
 def _cmd_infer(args):
-    model, cfg = load_checkpoint(args.checkpoint)
     if bool(args.image) == bool(args.manifest):
         raise CliError("infer needs exactly one of --image or --manifest")
+    model, cfg = load_checkpoint(args.checkpoint)
     if args.image:
         raw = read_pgm(args.image)
     else:

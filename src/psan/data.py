@@ -287,7 +287,12 @@ class SyntheticDataset:
                 parts = line.split("\t")
                 if len(parts) != 3:
                     raise ValueError(f"{path}:{line_no}: expected index<TAB>label<TAB>seed")
-                records.append((int(parts[0]), parts[1], int(parts[2])))
+                try:
+                    records.append((int(parts[0]), parts[1], int(parts[2])))
+                except ValueError:
+                    raise ValueError(f"{path}:{line_no}: index and seed must be integers") from None
+        if not records:
+            raise ValueError(f"{path}: manifest has no samples")
         return cls(count=len(records), seed=0, alphabet=None, opts=opts, records=records)
 
     def export_pgm(self, directory):
@@ -347,7 +352,10 @@ def read_pgm(path):
         fields.append(data[start:pos])
     if fields[0] != b"P5":
         raise ValueError(f"{path}: not a binary PGM (P5) file")
-    w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
+    for field in fields[1:]:
+        if not field.isdigit():  # ASCII decimal digits only, as the format says
+            raise ValueError(f"{path}: bad PGM header field {field.decode('latin-1')!r}")
+    w, h, maxval = (int(f) for f in fields[1:])
     if maxval != 255:
         raise ValueError(f"{path}: only maxval 255 is supported")
     if w < 1 or h < 1:

@@ -3,12 +3,16 @@
 Every function takes and returns Tensors, computes forward with numpy, and
 registers its backward rule on the active tape. An output takes the dtype
 of the op's primary input: its first tensor, the table for `embedding`,
-`h_prev` for `gru_cell`. Convolution is one batched
+`h_prev` for `gru_cell`. Convolution is a batched
 matmul over a column matrix: the input itself for a 1x1 kernel, otherwise
 one strided copy of a window view over a zero-padded copy of the input
-(flat for same-size stride-1 kernels, 2-d for the rest). Backward rebuilds
-the columns from the input instead of keeping them. The naive direct form
-and the per-offset strided windows live in the test suite as oracles.
+(flat for same-size stride-1 kernels, 2-d for the rest). Every kernel
+builds its columns a few samples at a time, as many as fit _COLUMN_BYTES,
+and runs the matmul on each slice while its columns are still in cache;
+each sample is the same GEMM call whatever the slicing, so the bits do not
+depend on the budget. Backward rebuilds the columns from the input, slice
+by slice, for the weight gradient instead of keeping them. The naive direct
+form and the per-offset strided windows live in the test suite as oracles.
 
 Two fused nodes round every value as the primitive ops they replace would,
 and the composed forms live in the test suite as their references:
@@ -30,6 +34,9 @@ from .tensor import add, sub, mul, scale, sum_all  # noqa: F401  (re-exported)
 
 BN_MOMENTUM = 0.1  # running <- (1 - BN_MOMENTUM) * running + BN_MOMENTUM * batch
 BN_EPS = 1e-5  # added to the variance before its square root
+# bytes of column matrix a conv builds at once: a quarter of a 2 MiB
+# per-core L2, so the GEMM reads its columns back from cache
+_COLUMN_BYTES = 1 << 19
 
 
 def _require(cond, msg, *args):
@@ -116,13 +123,30 @@ def _columns(xd, kh, kw, stride, padding, h_out, w_out):
     return cols.reshape(n, c_in * kh * kw, l)
 
 
+def _chunks(n, row_bytes):
+    """(start, stop) batch slices whose column matrix, row_bytes per sample,
+    fits _COLUMN_BYTES; one sample at a time when even one does not."""
+    step = max(1, _COLUMN_BYTES // row_bytes)
+    return ((s, min(s + step, n)) for s in range(0, n, step))
+
+
 def _conv_forward(xd, wd, bd, stride, padding, h_out, w_out):
-    """Convolution of arrays as an (N, C_out, L) array: one batched matmul
-    of the weight over the column matrix, then the bias."""
+    """Convolution of arrays as an (N, C_out, L) array.
+
+    The batch runs in slices whose column matrix fits _COLUMN_BYTES: each
+    slice builds its columns, multiplies the weight over them into its rows
+    of the output and adds the bias while those rows are still in cache.
+    Every sample is the same GEMM call on the same values whatever the
+    slicing, so the output is bit-for-bit that of one whole-batch matmul.
+    """
+    n = xd.shape[0]
     c_out, c_in, kh, kw = wd.shape
-    cols2 = _columns(xd, kh, kw, stride, padding, h_out, w_out)
-    out = np.matmul(wd.reshape(c_out, c_in * kh * kw)[None], cols2)
-    out += bd[:, None]
+    k, l = c_in * kh * kw, h_out * w_out
+    wmat = wd.reshape(c_out, k)[None]
+    out = np.empty((n, c_out, l), dtype=np.result_type(wd, xd))
+    for s, e in _chunks(n, k * l * xd.itemsize):
+        np.matmul(wmat, _columns(xd[s:e], kh, kw, stride, padding, h_out, w_out), out=out[s:e])
+        out[s:e] += bd[:, None]
     return out
 
 
@@ -138,12 +162,16 @@ def _conv_backward(x, weight, bias, g, stride, padding):
     if bias.requires_grad:
         accumulate_grad(bias, _channel_sum(gmat))
     if weight.requires_grad:
-        # the column matrix rebuilt from x: the same copies forward made, so
-        # the same bits, and freed before the input gradient is formed
-        cols2 = _columns(x.data, kh, kw, stride, padding, h_out, w_out)
-        gw = np.matmul(gmat, cols2.transpose(0, 2, 1)).sum(axis=0)
-        del cols2
-        accumulate_grad(weight, gw.reshape(weight.shape))
+        # per-sample products over columns rebuilt from x in forward's batch
+        # slices (the same copies, so the same bits), summed over the batch
+        # at once; no whole-batch column matrix exists at any time
+        k = c_in * kh * kw
+        gw = np.empty((n, c_out, k), dtype=np.result_type(gmat, x.data))
+        for s, e in _chunks(n, k * l * x.data.itemsize):
+            cols = _columns(x.data[s:e], kh, kw, stride, padding, h_out, w_out)
+            np.matmul(gmat[s:e], cols.transpose(0, 2, 1), out=gw[s:e])
+        del cols  # the last slice's columns, freed before the input gradient
+        accumulate_grad(weight, gw.sum(axis=0).reshape(weight.shape))
     if not x.requires_grad:
         return
     gcols = np.matmul(weight.data.reshape(c_out, c_in * kh * kw).T[None], gmat)
@@ -178,8 +206,8 @@ def conv2d(x, weight, bias, stride=1, padding=0):
 
     x: (N, C_in, H, W), weight: (C_out, C_in, kh, kw), bias: (C_out,).
     Output spatial dims are (H + 2p - kh) // stride + 1 and likewise for W.
-    Backward keeps no column matrix: it rebuilds one from x when the weight
-    needs a gradient.
+    Backward keeps no column matrix: it rebuilds the columns from x, slice
+    by slice, when the weight needs a gradient.
     """
     h_out, w_out = _conv_geometry(x, weight, bias, stride, padding)
     out_data = _conv_forward(x.data, weight.data, bias.data, stride, padding, h_out, w_out)

@@ -178,6 +178,26 @@ def test_infer_needs_exactly_one_source(workdir, tmp_path, capsys):
                  "--manifest", str(pgm)]) == 2
 
 
+def test_infer_checks_its_sources_before_loading(tmp_path, capsys):
+    missing = str(tmp_path / "missing.ckpt")
+    assert main(["infer", "--checkpoint", missing]) == 2
+    err = capsys.readouterr().err
+    assert "exactly one" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "robustness", "infer"])
+def test_an_empty_manifest_is_one_error_line(workdir, tmp_path, capsys, command):
+    manifest = tmp_path / "empty.tsv"
+    manifest.write_text("")
+    ckpt = tmp_path / "e.ckpt"
+    argv = {"train": ["train", "--config", workdir["cfg"], "--out", str(ckpt)]}.get(
+        command, [command, "--checkpoint", workdir["ckpt"]])
+    assert main(argv + ["--manifest", str(manifest)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {manifest}: manifest has no samples\n"
+    assert not ckpt.exists()
+
+
 def test_robustness_covers_every_transform(workdir, capsys):
     assert main(["robustness", "--checkpoint", workdir["ckpt"], "--count", "4"]) == 0
     reports = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
@@ -231,7 +251,7 @@ def test_malformed_manifest_is_runtime_error(tmp_path, capsys):
     path = tmp_path / "m.ckpt"
     blob = json.dumps({"config": ModelConfig(**TINY).to_dict()}).encode("utf-8")
     path.write_bytes(MAGIC + bytes([VERSION]) + struct.pack("<I", len(blob)) + blob)
-    assert main(["infer", "--checkpoint", str(path)]) == 1
+    assert main(["infer", "--checkpoint", str(path), "--image", str(tmp_path / "w.pgm")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "manifest" in err and err.count("\n") == 1
 

@@ -276,6 +276,23 @@ def test_manifest_rejects_malformed_lines(tmp_path):
         SyntheticDataset.from_manifest(path)
 
 
+def test_manifest_names_the_line_of_a_non_integer_field(tmp_path):
+    path = tmp_path / "bad.tsv"
+    path.write_text("0\tab\t5\nx\tab\t5\n")
+    with pytest.raises(ValueError) as err:
+        SyntheticDataset.from_manifest(path)
+    assert str(err.value) == f"{path}:2: index and seed must be integers"
+
+
+@pytest.mark.parametrize("text", ["", "\n\n"])
+def test_manifest_without_samples_is_rejected(tmp_path, text):
+    path = tmp_path / "empty.tsv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
+        SyntheticDataset.from_manifest(path)
+    assert str(err.value) == f"{path}: manifest has no samples"
+
+
 def test_pgm_round_trip(tmp_path):
     rng = np.random.default_rng(6)
     gray = rng.integers(0, 256, (9, 13)).astype(np.float64) / 255.0
@@ -302,6 +319,17 @@ def test_pgm_reader_handles_comments_and_errors(tmp_path):
     short.write_bytes(b"P5\n3 2\n255\n" + body[:3])
     with pytest.raises(ValueError, match="truncated"):
         read_pgm(short)
+
+
+@pytest.mark.parametrize("header,field", [(b"P5\nab 2\n255\n", "ab"),
+                                          (b"P5\n3 -2\n255\n", "-2"),
+                                          (b"P5\n3 2\n2x5\n", "2x5")])
+def test_pgm_reader_names_a_non_numeric_header_field(tmp_path, header, field):
+    path = tmp_path / "h.pgm"
+    path.write_bytes(header + bytes(6))
+    with pytest.raises(ValueError) as err:
+        read_pgm(path)
+    assert str(err.value) == f"{path}: bad PGM header field {field!r}"
 
 
 def test_export_pgm_matches_raw_channel(tmp_path):

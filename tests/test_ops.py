@@ -7,6 +7,8 @@ Exact-equality cases build float64 inputs, since each op's output takes
 the dtype of its primary input.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -139,19 +141,21 @@ def default_model_convs():
     return sorted(seen)
 
 
+# (C, H, W, kernel, stride, padding): grids one and two pixels wide or high,
+# a 5x5 kernel, a padded 1x1 kernel and stride 2 on odd sizes
+EDGE_CONVS = [(2, 1, 1, 3, 1, 1), (2, 1, 7, 3, 1, 1), (2, 6, 1, 3, 1, 1),
+              (3, 2, 2, 3, 1, 1), (2, 2, 9, 3, 1, 1), (2, 5, 2, 3, 1, 1),
+              (2, 4, 6, 5, 1, 2), (2, 2, 1, 5, 1, 2), (2, 1, 2, 5, 1, 2),
+              (3, 4, 6, 1, 1, 1), (3, 5, 7, 3, 2, 1), (2, 1, 1, 3, 2, 1),
+              (2, 7, 9, 1, 2, 0), (2, 5, 7, 3, 2, 0)]
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_columns_are_byte_equal_to_the_strided_windows(dtype):
     """Every column-matrix layout copies exactly the values of the strided
-    windows: at each shape the default model runs, at grids one and two
-    pixels wide or high, a 5x5 kernel, a padded 1x1 kernel and stride 2 on
-    odd sizes."""
-    edge_cases = [(2, 1, 1, 3, 1, 1), (2, 1, 7, 3, 1, 1), (2, 6, 1, 3, 1, 1),
-                  (3, 2, 2, 3, 1, 1), (2, 2, 9, 3, 1, 1), (2, 5, 2, 3, 1, 1),
-                  (2, 4, 6, 5, 1, 2), (2, 2, 1, 5, 1, 2), (2, 1, 2, 5, 1, 2),
-                  (3, 4, 6, 1, 1, 1), (3, 5, 7, 3, 2, 1), (2, 1, 1, 3, 2, 1),
-                  (2, 7, 9, 1, 2, 0), (2, 5, 7, 3, 2, 0)]
+    windows, at each shape the default model runs and at the edge cases."""
     rng = np.random.default_rng(4)
-    for c, h, w, k, stride, padding in default_model_convs() + edge_cases:
+    for c, h, w, k, stride, padding in default_model_convs() + EDGE_CONVS:
         x = rng.standard_normal((2, c, h, w)).astype(dtype)
         xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
         ho = (h + 2 * padding - k) // stride + 1
@@ -161,6 +165,78 @@ def test_columns_are_byte_equal_to_the_strided_windows(dtype):
         case = (c, h, w, k, stride, padding)
         assert got.dtype == want.dtype and got.shape == want.shape, case
         assert got.tobytes() == want.tobytes(), case
+
+
+def conv2d_and_grads(x, w, b, stride, padding):
+    """Output and input, weight and bias gradients of one taped conv2d."""
+    tx, tw, tb = (Tensor(a, requires_grad=True, dtype=a.dtype) for a in (x, w, b))
+    with Tape() as tape:
+        out = ops.conv2d(tx, tw, tb, stride=stride, padding=padding)
+        g = np.random.default_rng(5).standard_normal(out.shape)
+        backward(sum_all(ops.mul(out, Tensor(g, dtype=x.dtype))), tape)
+    return out.data, tx.grad, tw.grad, tb.grad
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv2d_is_byte_equal_for_every_column_budget(dtype):
+    """Forward and all three gradients come out byte for byte the same
+    whether the batch runs one sample per column matrix, in the default
+    budget's slices or as one slice, at every shape the default model
+    runs and at the edge cases, with batches whose last slice is uneven."""
+    rng = np.random.default_rng(6)
+    for c, h, w, k, stride, padding in default_model_convs() + EDGE_CONVS:
+        wt = rng.standard_normal((3, c, k, k)).astype(dtype)
+        b = rng.standard_normal(3).astype(dtype)
+        for n in (1, 3, 16, 17):
+            x = rng.standard_normal((n, c, h, w)).astype(dtype)
+            runs = []
+            for budget in (1, ops._COLUMN_BYTES, 1 << 40):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(ops, "_COLUMN_BYTES", budget)
+                    runs.append(conv2d_and_grads(x, wt, b, stride, padding))
+            case = (n, c, h, w, k, stride, padding)
+            for got in runs[1:]:
+                for a, want in zip(got, runs[0]):
+                    assert a.dtype == want.dtype == dtype, case
+                    assert a.tobytes() == want.tobytes(), case
+
+
+def test_batch16_recognition_calls_conv2d_121_times(monkeypatch):
+    """Column slicing stays inside the op: one default-model recognition
+    of 16 images makes one conv2d call per convolution, as at batch 1."""
+    calls = []
+    original = ops.conv2d
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ops, "conv2d", counting)
+    TextRecognizer(ModelConfig()).recognize(Tensor(np.zeros((16, 3, 32, 128))))
+    assert len(calls) == 121
+
+
+def test_untaped_conv_holds_one_slice_of_columns():
+    """At the stage-1 attention conv's shape an untaped conv's transient
+    peak is its output plus one slice's padded copy and columns, not a
+    whole-batch column matrix (nine times the input)."""
+    n, c, h, w = 16, 8, 16, 64
+    rng = np.random.default_rng(7)
+    x = Tensor(rng.standard_normal((n, c, h, w)).astype(np.float32))
+    wt = Tensor(rng.standard_normal((c, c, 3, 3)).astype(np.float32))
+    b = Tensor(np.zeros(c, dtype=np.float32))
+    row = c * 9 * h * w * 4  # column bytes per sample
+    per_slice = max(1, ops._COLUMN_BYTES // row)
+    assert per_slice < n  # the budget slices this batch
+    padded = per_slice * c * (h * w + 2 * (w + 1)) * 4
+    bound = 1.1 * (n * c * h * w * 4 + per_slice * row + padded)
+    tracemalloc.start()
+    try:
+        ops.conv2d(x, wt, b, stride=1, padding=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, (peak, bound)
 
 
 def test_conv2d_rejects_channel_mismatch_and_degenerate_output():
