@@ -31,6 +31,18 @@ class CliError(Exception):
     pass
 
 
+def _seed(text):
+    """argparse type of a data seed: numpy seeds a generator only from a
+    non-negative integer, so a negative one is rejected here, by its flag."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+    return value
+
+
 def _add_override_flags(p):
     p.add_argument("--channels", type=int, help="encoder base channel count")
     p.add_argument("--num-scales", type=int, help="number of encoder scales")
@@ -60,7 +72,7 @@ def _make_parser():
     p = sub.add_parser("gen-data", help="write a synthetic dataset manifest")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--count", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--config", help="config JSON for alphabet/length/render knobs")
     p.add_argument("--export-pgm", action="store_true", help="also write one PGM per sample")
 
@@ -77,7 +89,7 @@ def _make_parser():
     p.add_argument("--transform", default="none", choices=TRANSFORMS)
     p.add_argument("--manifest", help="evaluate a manifest instead of fresh draws")
     p.add_argument("--count", type=int, default=64, help="synthetic eval set size")
-    p.add_argument("--seed", type=int, default=1, help="synthetic eval set seed")
+    p.add_argument("--seed", type=_seed, default=1, help="synthetic eval set seed")
 
     p = sub.add_parser("infer", help="decode one image")
     p.add_argument("--checkpoint", required=True)
@@ -93,7 +105,7 @@ def _make_parser():
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--manifest")
     p.add_argument("--count", type=int, default=64)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_seed, default=1)
     return parser
 
 

@@ -54,6 +54,8 @@ class ModelConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.max_steps is not None and self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.precision not in ("f32", "f64"):
             raise ValueError(f"precision must be 'f32' or 'f64', got {self.precision!r}")
         if self.train_samples < 1:

@@ -288,9 +288,12 @@ class SyntheticDataset:
                 if len(parts) != 3:
                     raise ValueError(f"{path}:{line_no}: expected index<TAB>label<TAB>seed")
                 try:
-                    records.append((int(parts[0]), parts[1], int(parts[2])))
+                    record = (int(parts[0]), parts[1], int(parts[2]))
                 except ValueError:
                     raise ValueError(f"{path}:{line_no}: index and seed must be integers") from None
+                if record[2] < 0:
+                    raise ValueError(f"{path}:{line_no}: seed must be >= 0")
+                records.append(record)
         if not records:
             raise ValueError(f"{path}: manifest has no samples")
         return cls(count=len(records), seed=0, alphabet=None, opts=opts, records=records)

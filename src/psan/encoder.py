@@ -53,7 +53,10 @@ class ResidualUnit(Module):
         y = conv_bn(self.conv1, self.bn1, x, relu=True)
         y = conv_bn(self.conv2, self.bn2, y, relu=True)
         y = conv_bn(self.conv3, self.bn3, y)
-        return ops.relu(ops.add(y, x))
+        # y is this unit's fresh conv3 output, which no backward rule reads:
+        # one buffer holds it, the sum, and the relu (whose rule reads only it)
+        s = ops.add(y, x, out=y.data)
+        return ops.relu(s, out=s.data)
 
 
 class ResidualStructure(Module):

@@ -28,7 +28,7 @@ from itertools import islice
 
 import numpy as np
 
-from .tensor import Tensor, accumulate_grad, active_tape, record
+from .tensor import Tensor, _check_out, _require, accumulate_grad, active_tape, record
 from .tensor import add, sub, mul, scale, sum_all  # noqa: F401  (re-exported)
 
 
@@ -37,12 +37,6 @@ BN_EPS = 1e-5  # added to the variance before its square root
 # bytes of column matrix a conv builds at once: a quarter of a 2 MiB
 # per-core L2, so the GEMM reads its columns back from cache
 _COLUMN_BYTES = 1 << 19
-
-
-def _require(cond, msg, *args):
-    """Raise ValueError(msg.format(*args)) unless cond holds."""
-    if not cond:
-        raise ValueError(msg.format(*args))
 
 
 def _channel_sum(a):
@@ -320,7 +314,9 @@ def conv_bn(x, weight, bias, gamma, beta, running_mean, running_var, stride=1, p
     reports it. So a node keeps only its output and x_hat: no conv output,
     no column matrix (backward rebuilds it from x), no pre-relu values.
     Backward multiplies by the exact 0/1 relu mask, runs batch-norm
-    backward from x_hat, then conv backward. Every value rounds as in the
+    backward from x_hat, then conv backward. Without the relu, backward
+    never reads the output, so a caller may write over it once nothing
+    else reads it (see `ResidualUnit.forward`). Every value rounds as in the
     three-op tape, and the node stands where that tape's last node stood,
     so shared inputs receive their gradient contributions in the same order.
     """
@@ -346,11 +342,16 @@ def conv_bn(x, weight, bias, gamma, beta, running_mean, running_var, stride=1, p
     return record("conv_bn", (x, weight, bias, gamma, beta), out, bwd)
 
 
-def relu(x):
+def relu(x, out=None):
+    """max(x, 0). With `out` the result goes into that array, numpy-style,
+    and the result wraps it; `out` may be x's own array, because backward
+    reads only the output: max(x, 0) > 0 is the same mask as x > 0."""
     tape = active_tape()
     if tape is not None and tape.margins is not None:
         tape.margins.append(float(np.abs(x.data).min()))
-    out = Tensor(np.maximum(x.data, 0), dtype=x.data.dtype)
+    if out is not None:
+        _check_out(out, x, "relu")
+    out = Tensor(np.maximum(x.data, 0, out=out), dtype=x.data.dtype)
 
     def bwd(g):
         accumulate_grad(x, g * (out.data > 0))
@@ -393,7 +394,8 @@ def maxpool2d(x, kernel):
     """Non-overlapping kernel x kernel max pooling; kernel must divide H, W.
 
     The backward pass routes each window's gradient to its argmax, first
-    occurrence in row-major window order on ties.
+    occurrence in row-major window order on ties. It keeps the argmax
+    indices and the output, not the transposed copy of the windows.
 
     With no tape open, the op takes strided running maxima instead: a copy
     of the window offset (0, 0), then `np.maximum(offset view, running)`
@@ -431,11 +433,12 @@ def maxpool2d(x, kernel):
     idx = windows.argmax(axis=-1)
     out = Tensor(np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0],
                  dtype=x.data.dtype)
+    wshape, wdtype = windows.shape, windows.dtype  # the rule keeps no window copy
 
     def bwd(g):
         if not x.requires_grad:
             return
-        gwin = np.zeros_like(windows)
+        gwin = np.zeros(wshape, dtype=wdtype)
         np.put_along_axis(gwin, idx[..., None], g[..., None], axis=-1)
         gx = (gwin.reshape(n, c, ho, wo, kernel, kernel)
               .transpose(0, 1, 2, 4, 3, 5)

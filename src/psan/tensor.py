@@ -37,7 +37,12 @@ class Tensor:
     `data` is always a C-contiguous numpy array, float32 unless an explicit
     dtype is given. `grad`, set by backward passes, matches `data` in shape
     and dtype and may be shared, so it is replaced, never written.
-    Tensors are write-once values except for optimizer updates on parameters.
+    Tensors are write-once values except for optimizer updates on parameters
+    and the `out=` of `add` and `relu`, which writes into an array that may
+    already back another tensor. That is safe only for an array no later op
+    or backward rule reads: `ResidualUnit.forward` reuses its conv3 output,
+    which the relu-free `conv_bn` rule never reads, for the sum and then
+    the relu, whose rule reads only its own output.
     """
 
     __slots__ = ("data", "grad", "requires_grad")
@@ -152,8 +157,10 @@ def backward(loss, tape=None):
 
     Visits nodes in exact reverse recording order, so every consumer of a
     tensor is processed before its producer and gradients of shared inputs
-    accumulate by summation. A node's output gradient is dropped once its
-    rule has run, so only leaf tensors keep `.grad`. The tape is single-use.
+    accumulate by summation. A node's output gradient and its rule, with
+    the arrays the rule's closure keeps, are dropped once the rule has run,
+    so only leaf tensors keep `.grad`, and memory falls as backward goes.
+    The tape is single-use; its nodes keep op, scope, inputs and output.
     """
     tape = tape or active_tape()
     if tape is None:
@@ -172,6 +179,7 @@ def backward(loss, tape=None):
             continue
         node.backward(g)
         node.output.grad = None
+        node.backward = None
 
 
 class Parameter:
@@ -261,18 +269,41 @@ def finite_difference_grad(f, x, eps=1e-4):
     return Tensor(grad, dtype=np.float64)
 
 
+def _require(cond, msg, *args):
+    """Raise ValueError(msg.format(*args)) unless cond holds."""
+    if not cond:
+        raise ValueError(msg.format(*args))
+
+
 def _check_same_shape(a, b, op):
     if a.data.shape != b.data.shape:
         raise ValueError(f"{op}: shape mismatch {a.data.shape} vs {b.data.shape}")
+
+
+def _check_out(out, x, op):
+    """Check that `out` can hold op's result over x: x's shape and dtype, and
+    C-contiguous, so the result Tensor wraps it rather than a copy."""
+    _require(out.shape == x.data.shape and out.dtype == x.data.dtype
+             and out.flags.c_contiguous,
+             "{}: out= must be a C-contiguous {} {} array, got {} {}",
+             op, x.data.dtype, x.data.shape, out.dtype, out.shape)
 
 
 # Core elementwise arithmetic. Broadcasting is deliberately not supported
 # here; the few shapes the network needs to mix are handled inside the
 # dedicated ops (batch norm, bias add, attention gating).
 
-def add(a, b):
+def add(a, b, out=None):
+    """a + b. With `out` the sum goes into that array, numpy-style, and the
+    result wraps it; `out` may be an operand's own array, since backward
+    reads neither operand."""
     _check_same_shape(a, b, "add")
-    out = Tensor(a.data + b.data, dtype=a.data.dtype)
+    if out is None:
+        out = a.data + b.data
+    else:
+        _check_out(out, a, "add")
+        np.add(a.data, b.data, out=out)
+    out = Tensor(out, dtype=a.data.dtype)
 
     def bwd(g):
         accumulate_grad(a, g)

@@ -46,6 +46,11 @@ def train(cfg, dataset=None, out_path=None, log_fn=None, target_loss=None):
     deterministic in (config, dataset) and runs at the config's precision,
     which the model carries; the dataset's float32 images are widened for a
     float64 model.
+
+    A non-finite loss raises NonFiniteError naming the op and scope of the
+    first tape node whose output is non-finite. A residual unit writes its
+    skip sum and last relu into its conv3 `conv_bn` output, so an overflow
+    in that sum is named as that `conv_bn` node, in the unit's scope.
     """
     cfg.validate()
     model = TextRecognizer(cfg)

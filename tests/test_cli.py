@@ -247,6 +247,31 @@ def test_gen_data_rejects_an_empty_dataset(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["gen-data", "eval", "robustness"])
+def test_a_negative_seed_flag_is_one_error_line_naming_it(workdir, tmp_path, capsys, command):
+    out = tmp_path / "corpus"
+    args = (["--out", str(out)] if command == "gen-data"
+            else ["--checkpoint", workdir["ckpt"]])
+    assert main([command, *args, "--seed", "-3"]) == 2
+    out_text, err = capsys.readouterr()
+    assert out_text == "" and err == "error: argument --seed: seed must be >= 0, got -3\n"
+    assert not out.exists()
+
+
+def test_train_rejects_a_negative_seed_before_training(tmp_path, capsys):
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["train", "--seed", "-1", "--out", str(ckpt)]) == 1
+    assert capsys.readouterr() == ("", "error: seed must be >= 0, got -1\n")
+    assert not ckpt.exists()
+
+
+def test_a_manifest_with_a_negative_seed_names_its_line(workdir, tmp_path, capsys):
+    path = tmp_path / "manifest.tsv"
+    path.write_text("0\tab\t-5\n")
+    assert main(["eval", "--checkpoint", workdir["ckpt"], "--manifest", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}:1: seed must be >= 0\n"
+
+
 def test_malformed_manifest_is_runtime_error(tmp_path, capsys):
     path = tmp_path / "m.ckpt"
     blob = json.dumps({"config": ModelConfig(**TINY).to_dict()}).encode("utf-8")

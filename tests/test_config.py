@@ -36,6 +36,12 @@ def test_failed_save_keeps_the_old_file(tmp_path):
     assert os.listdir(tmp_path) == ["cfg.json"]
 
 
+def test_negative_seed_rejected():
+    with pytest.raises(ValueError) as err:
+        ModelConfig(seed=-1).validate()
+    assert str(err.value) == "seed must be >= 0, got -1"
+
+
 def test_unknown_keys_rejected():
     with pytest.raises(ValueError, match="unknown config keys: channles"):
         ModelConfig.from_dict({"channles": 8})

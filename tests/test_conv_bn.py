@@ -191,11 +191,12 @@ CASES = {  # c_in, c_out, kernel, stride, padding, input shape
 }
 
 
-def fused_and_reference(case, relu, training, dtype, fused):
+def fused_and_reference(case, relu, training, dtype, fused, scribble=False):
     """One conv->BN(->relu) forward and backward, by the fused op or by the
     separate ops, with x also read by a node recorded before and one after:
     the returned arrays are the output, the running statistics, the kink
-    margins and the gradients of x, W, b, gamma and beta."""
+    margins and the gradients of x, W, b, gamma and beta. With scribble set,
+    the output is overwritten with garbage before backward runs."""
     c_in, c_out, k, stride, padding, shape = CASES[case]
     rng = np.random.default_rng(11)
     leaf = lambda a: Tensor(a, requires_grad=True, dtype=dtype)
@@ -221,6 +222,8 @@ def fused_and_reference(case, relu, training, dtype, fused):
         after = ops.mul(x, x)
         loss = ops.add(ops.add(ops.sum_all(ops.mul(y, proj)), ops.sum_all(before)),
                        ops.sum_all(after))
+        if scribble:
+            y.data[...] = rng.uniform(-9.0, 9.0, y.shape)
         backward(loss, tape)
     return ([y.data, rm, rv, np.array(tape.margins)]
             + [t.grad for t in (x, w, b, gamma, beta)])
@@ -236,6 +239,18 @@ def test_fused_op_is_bit_equal_to_the_separate_ops(case, relu, training, mode):
     assert len(got[3]) == int(relu)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_fused_op_without_relu_never_reads_its_output(case, training):
+    """Backward of a relu-free node gives the same gradients after its output
+    is overwritten, so a caller may reuse that buffer (ResidualUnit does)."""
+    got = fused_and_reference(case, False, training, np.float64, fused=True, scribble=True)
+    want = fused_and_reference(case, False, training, np.float64, fused=True)
+    assert got[0].tobytes() != want[0].tobytes()
+    for g, w in zip(got[1:], want[1:]):
         assert g.tobytes() == w.tobytes()
 
 

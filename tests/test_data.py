@@ -284,6 +284,14 @@ def test_manifest_names_the_line_of_a_non_integer_field(tmp_path):
     assert str(err.value) == f"{path}:2: index and seed must be integers"
 
 
+def test_manifest_names_the_line_of_a_negative_seed(tmp_path):
+    path = tmp_path / "bad.tsv"
+    path.write_text("0\tab\t5\n1\tab\t-5\n")
+    with pytest.raises(ValueError) as err:
+        SyntheticDataset.from_manifest(path)
+    assert str(err.value) == f"{path}:2: seed must be >= 0"
+
+
 @pytest.mark.parametrize("text", ["", "\n\n"])
 def test_manifest_without_samples_is_rejected(tmp_path, text):
     path = tmp_path / "empty.tsv"

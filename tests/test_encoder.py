@@ -11,7 +11,7 @@ import pytest
 from psan.encoder import (Encoder, EncoderConfig, FusionBlock, PlainBranch,
                           ResidualStructure, ResidualUnit, VisualAttentionBlock)
 from psan.gradcheck import COMPOSITE_TOL, check_case
-from psan.tensor import Tape, Tensor, sum_all
+from psan.tensor import Tape, Tensor, backward, sum_all
 from psan import ops
 
 
@@ -75,6 +75,41 @@ def test_residual_unit_zero_weights_reduces_to_relu():
     x = Tensor(np.random.default_rng(2).standard_normal((2, 4, 3, 5)), dtype=np.float64)
     out = ru.forward(x)
     np.testing.assert_array_equal(out.data, np.maximum(x.data, 0))
+
+
+def residual_unit_run(dtype, taped):
+    """One seeded train-mode unit's forward, and under a tape a loss and its
+    backward: the output, loss, kink margins, running statistics and every
+    gradient, as bytes."""
+    rng = np.random.default_rng(4)
+    ru = ResidualUnit("ru", 6, rng).astype(dtype)
+    for bn in ru.batchnorms:
+        bn.beta.value.data[:] = rng.normal(0.0, 0.5, bn.beta.value.data.shape)
+    x = Tensor(rng.standard_normal((2, 6, 4, 10)), requires_grad=True, dtype=dtype)
+    proj = Tensor(rng.standard_normal(x.shape), dtype=dtype)
+    if not taped:
+        return [ru(x).data.tobytes()]
+    with Tape(trace_kinks=True) as tape:
+        out = ru(x)
+        loss = sum_all(ops.mul(out, proj))
+        backward(loss, tape)
+    arrays = ([out.data, loss.data, np.array(tape.margins), x.grad]
+              + [p.value.grad for p in ru.params()]
+              + [a for bn in ru.batchnorms for a in (bn.running_mean, bn.running_var)])
+    return [a.tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("taped", [True, False], ids=["taped", "untaped"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+def test_residual_unit_tail_in_place_is_bit_equal(dtype, taped, monkeypatch):
+    """The unit's sum and relu written over conv3's output give the bytes of
+    the out-of-place relu(add(y, x)): output, loss, margins, running
+    statistics and every gradient."""
+    got = residual_unit_run(dtype, taped)
+    add, relu = ops.add, ops.relu
+    monkeypatch.setattr(ops, "add", lambda a, b, out=None: add(a, b))
+    monkeypatch.setattr(ops, "relu", lambda x, out=None: relu(x))
+    assert got == residual_unit_run(dtype, taped)
 
 
 def test_residual_structure_preserves_shape():

@@ -7,6 +7,7 @@ import pytest
 
 from psan import ops
 from psan.config import ModelConfig
+from psan.model import TextRecognizer
 from psan.tensor import (GradientError, NonFiniteError, Parameter, Tape,
                          Tensor, adadelta_step, backward,
                          finite_difference_grad, sum_all, zero_grad)
@@ -91,6 +92,25 @@ def test_backward_consumes_tape():
     with Tape() as tape:
         loss = sum_all(ops.mul(x, x))
         backward(loss, tape)
+        with pytest.raises(GradientError, match="consumed"):
+            backward(loss, tape)
+
+
+def test_backward_drops_each_rule_and_keeps_the_record():
+    """Once backward has run, no node holds its rule (nor the arrays the rule
+    keeps); each still names its op, scope, inputs and output, and the tape
+    refuses a second backward."""
+    model = TextRecognizer(ModelConfig(channels=4, num_scales=2, rus_per_rs=1, vab_convs=1,
+                                       max_length=4, hidden_size=8, embedding_dim=6,
+                                       label_max_len=3, seed=3))
+    images = Tensor(np.random.default_rng(0).uniform(-1, 1, (2, 3, 32, 128)))
+    with Tape() as tape:
+        loss = model.loss(images, ["ab", "b"])
+        before = [(n.op, n.scope, n.inputs, n.output) for n in tape.nodes]
+        backward(loss, tape)
+        assert [(n.op, n.scope, n.inputs, n.output) for n in tape.nodes] == before
+        assert all(n.backward is None for n in tape.nodes)
+        assert all(n.scope is not None for n in tape.nodes)
         with pytest.raises(GradientError, match="consumed"):
             backward(loss, tape)
 

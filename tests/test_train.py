@@ -2,6 +2,7 @@
 checkpoint cadence, and the scoring rules."""
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +106,28 @@ def test_training_restores_the_callers_precision():
     with pytest.raises(NonFiniteError):
         train(tiny_cfg(precision="f64"), dataset=NaNDataset())
     assert Tensor([1.0]).data.dtype == np.float32
+
+
+def test_default_batch_16_train_step_peak_memory():
+    """The tracemalloc peak of the second step of a default-config train():
+    model state plus the tape and what its backward rules keep at their
+    highest. The corpus is rendered first, as the benchmark's probe does."""
+    cfg = ModelConfig(max_steps=2)
+    dataset = dataset_from_config(cfg)
+    for i in range(len(dataset)):
+        dataset.image(i)
+    peaks = []
+
+    def log_fn(line):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+
+    tracemalloc.start()
+    try:
+        train(cfg, dataset=dataset, log_fn=log_fn)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 2 and peaks[-1] <= 90 * 2 ** 20, peaks
 
 
 def test_checkpoint_written_each_epoch_and_on_completion(tmp_path, monkeypatch):
