@@ -98,7 +98,7 @@ def _make_parser():
     p.add_argument("--index", type=int, default=0, help="sample index within the manifest")
 
     p = sub.add_parser("gradcheck", help="run the finite-difference gradient suite")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_seed, default=0,
                    help="probe-point shift; 0 is the curated default")
 
     p = sub.add_parser("robustness", help="evaluate a checkpoint under every transform")

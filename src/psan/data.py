@@ -299,10 +299,10 @@ class SyntheticDataset:
         return cls(count=len(records), seed=0, alphabet=None, opts=opts, records=records)
 
     def export_pgm(self, directory):
-        """Write each raw render as {index:06}.pgm next to the manifest."""
+        """Write each raw render as {index:06}.pgm, named by its index column."""
         paths = []
-        for idx, _, _ in self.records:
-            gray = self.raw(idx)[0]
+        for i, (idx, _, _) in enumerate(self.records):
+            gray = self.raw(i)[0]
             path = f"{directory}/{idx:06d}.pgm"
             write_pgm(path, gray)
             paths.append(path)

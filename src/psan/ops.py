@@ -13,6 +13,8 @@ each sample is the same GEMM call whatever the slicing, so the bits do not
 depend on the budget. Backward rebuilds the columns from the input, slice
 by slice, for the weight gradient instead of keeping them. The naive direct
 form and the per-offset strided windows live in the test suite as oracles.
+Max pooling, taped or not, reads one strided view per window offset and
+keeps no indices; the window-copy argmax form is its test reference.
 
 Two fused nodes round every value as the primitive ops they replace would,
 and the composed forms live in the test suite as their references:
@@ -393,56 +395,44 @@ def tanh(x):
 def maxpool2d(x, kernel):
     """Non-overlapping kernel x kernel max pooling; kernel must divide H, W.
 
-    The backward pass routes each window's gradient to its argmax, first
-    occurrence in row-major window order on ties. It keeps the argmax
-    indices and the output, not the transposed copy of the windows.
-
-    With no tape open, the op takes strided running maxima instead: a copy
-    of the window offset (0, 0), then `np.maximum(offset view, running)`
-    for each other offset in row-major order, with no window copy. This is
-    byte-identical to the taped argmax form, signed-zero ties and NaNs
-    included, except in a window that holds NaNs with distinct payloads
-    (NaN either way). The operand order is what keeps it so: on a tie
-    between +0.0 and -0.0 numpy's SIMD maximum returns its second operand,
-    the running value, which holds the earlier window entry.
+    One code path, taped or not. Forward takes running maxima over one
+    strided view per window offset, in row-major order, as
+    `np.maximum(view, running, out=running)`: on a +0.0/-0.0 tie numpy
+    returns the second operand, so the first entry's sign is kept.
+    Backward routes each window's gradient to its first entry equal to the
+    output, reading only the input and the output, so it keeps no indices.
+    A window holding a NaN outputs NaN and routes no gradient (`train()`
+    raises on a non-finite loss before backward). Under `trace_kinks` a
+    running second maximum gives each window's top-two gap.
     """
     _require(x.ndim == 4, "maxpool2d: input must be 4-d, got {}", x.shape)
-    n, c, h, w = x.shape
+    h, w = x.shape[2:]
     _require(h % kernel == 0 and w % kernel == 0,
              "maxpool2d: {}x{} not divisible by window {}", h, w, kernel)
+    offsets = [(i, j) for i in range(kernel) for j in range(kernel)]
     tape = active_tape()
-    if tape is None:
-        out = x.data[:, :, ::kernel, ::kernel].copy()
-        for i in range(kernel):
-            for j in range(kernel):
-                if i or j:
-                    np.maximum(x.data[:, :, i::kernel, j::kernel], out, out=out)
-        return Tensor(out, dtype=x.data.dtype)
-    ho, wo = h // kernel, w // kernel
-    windows = (x.data.reshape(n, c, ho, kernel, wo, kernel)
-               .transpose(0, 1, 2, 4, 3, 5)
-               .reshape(n, c, ho, wo, kernel * kernel))
-    if tape.margins is not None and windows.shape[-1] >= 2:
-        top2 = np.partition(windows, windows.shape[-1] - 2, axis=-1)
-        gap = top2[..., -1] - top2[..., -2]
-        # a window whose two largest entries are both exactly zero is a tie
-        # between relu-clamped values: locally constant, not a kink
-        live = ~((top2[..., -1] == 0.0) & (top2[..., -2] == 0.0))
+    top = x.data[..., ::kernel, ::kernel].copy()
+    second = (np.full_like(top, -np.inf)
+              if tape is not None and tape.margins is not None and kernel > 1 else None)
+    for i, j in offsets[1:]:
+        view = x.data[..., i::kernel, j::kernel]
+        if second is not None:
+            np.maximum(np.minimum(view, top), second, out=second)
+        np.maximum(view, top, out=top)
+    if second is not None:
+        # both top values exactly zero: a tie of relu-clamped values, not a kink
+        live = ~((top == 0.0) & (second == 0.0))
         if live.any():
-            tape.margins.append(float(gap[live].min()))
-    idx = windows.argmax(axis=-1)
-    out = Tensor(np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0],
-                 dtype=x.data.dtype)
-    wshape, wdtype = windows.shape, windows.dtype  # the rule keeps no window copy
+            tape.margins.append(float((top - second)[live].min()))
+    out = Tensor(top, dtype=x.data.dtype)
 
     def bwd(g):
-        if not x.requires_grad:
-            return
-        gwin = np.zeros(wshape, dtype=wdtype)
-        np.put_along_axis(gwin, idx[..., None], g[..., None], axis=-1)
-        gx = (gwin.reshape(n, c, ho, wo, kernel, kernel)
-              .transpose(0, 1, 2, 4, 3, 5)
-              .reshape(n, c, h, w))
+        gx = np.zeros_like(x.data)
+        free = np.ones(g.shape, dtype=bool)  # windows not yet routed
+        for i, j in offsets:
+            hit = (x.data[..., i::kernel, j::kernel] == out.data) & free
+            free &= ~hit
+            np.copyto(gx[..., i::kernel, j::kernel], g, where=hit)
         accumulate_grad(x, gx)
 
     return record("maxpool2d", (x,), out, bwd)

@@ -42,7 +42,8 @@ class Tensor:
     already back another tensor. That is safe only for an array no later op
     or backward rule reads: `ResidualUnit.forward` reuses its conv3 output,
     which the relu-free `conv_bn` rule never reads, for the sum and then
-    the relu, whose rule reads only its own output.
+    the relu, whose rule reads only its own output. The `maxpool2d` rule
+    reads its input and output, so no `out=` may write either later.
     """
 
     __slots__ = ("data", "grad", "requires_grad")

@@ -265,6 +265,20 @@ def test_train_rejects_a_negative_seed_before_training(tmp_path, capsys):
     assert not ckpt.exists()
 
 
+def test_gradcheck_rejects_a_negative_seed_by_its_flag(capsys):
+    assert main(["gradcheck", "--seed", "-500"]) == 2
+    assert capsys.readouterr() == ("", "error: argument --seed: seed must be >= 0, got -500\n")
+
+
+def test_train_into_a_missing_directory_fails_before_the_first_step(workdir, tmp_path, capsys):
+    ckpt = tmp_path / "missing_dir" / "x.ckpt"
+    assert main(["train", "--config", workdir["cfg"], "--out", str(ckpt)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and f" {ckpt}:" in err
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
 def test_a_manifest_with_a_negative_seed_names_its_line(workdir, tmp_path, capsys):
     path = tmp_path / "manifest.tsv"
     path.write_text("0\tab\t-5\n")

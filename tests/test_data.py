@@ -348,6 +348,20 @@ def test_export_pgm_matches_raw_channel(tmp_path):
     np.testing.assert_allclose(back[0], ds.raw(1)[0], atol=0.5 / 255.0 + 1e-12)
 
 
+@pytest.mark.parametrize("indices", [(1, 0), (7, 3)])
+def test_export_pgm_names_files_by_the_index_column(tmp_path, indices):
+    """A manifest's index column need not be the sample's position: each
+    file is named by its line's index and holds that line's render."""
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text(f"{indices[0]}\tab\t5\n{indices[1]}\tcd\t6\n", encoding="utf-8")
+    ds = SyntheticDataset.from_manifest(manifest)
+    paths = ds.export_pgm(tmp_path)
+    assert [p.split("/")[-1] for p in paths] == [f"{i:06d}.pgm" for i in indices]
+    for path, label, seed in zip(paths, ("ab", "cd"), (5, 6)):
+        np.testing.assert_allclose(read_pgm(path)[0], render_word(label, seed)[0],
+                                   atol=0.5 / 255.0 + 1e-12)
+
+
 @pytest.mark.parametrize("size", ["0 0", "4 0", "0 4"])
 def test_pgm_reader_rejects_empty_images(tmp_path, size):
     path = tmp_path / "empty.pgm"

@@ -16,7 +16,7 @@ from psan import ops
 from psan.config import ModelConfig
 from psan.layers import GRUCell
 from psan.model import TextRecognizer
-from psan.tensor import Tape, Tensor, backward, sum_all
+from psan.tensor import Tape, Tensor, backward, mul, sum_all
 
 
 def naive_conv2d(x, w, b, stride, padding):
@@ -362,9 +362,9 @@ def test_out_argument_writes_the_out_of_place_bytes_into_out(op, dtype):
             fn(out=bad)
 
 
-def test_a_taped_maxpool_keeps_indices_not_windows():
-    """After a taped forward only the output and the argmax indices are
-    held: no transposed copy of the windows."""
+def test_a_taped_maxpool_keeps_only_its_output():
+    """After a taped forward only the output is held: no window copy and no
+    argmax indices, since backward finds each maximum again."""
     x = Tensor(np.random.default_rng(9).standard_normal((2, 8, 32, 64)), requires_grad=True)
     tape = Tape()
     tracemalloc.start()
@@ -375,8 +375,7 @@ def test_a_taped_maxpool_keeps_indices_not_windows():
         kept = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
-    want = y.data.nbytes + y.data.size * np.dtype(np.intp).itemsize
-    assert kept <= 1.05 * want, (kept, want)
+    assert kept <= 1.05 * y.data.nbytes, (kept, y.data.nbytes)
     assert [n.op for n in tape.nodes] == ["maxpool2d"]
 
 
@@ -422,33 +421,65 @@ def test_maxpool_then_nearest_upsample_dominates_input():
         assert (up >= x - 1e-12).all()
 
 
-def windowed_argmax_maxpool(x, k):
-    """The taped form's forward: window copies, argmax, then a gather."""
+def windowed_argmax_maxpool(x, k, g):
+    """The window-copy form of a taped maxpool: argmax and a gather forward,
+    g scattered to each window's argmax backward, and the kink margin from
+    each window's top two by np.partition. Returns (out, x grad, margins)."""
     n, c, h, w = x.shape
     windows = (x.reshape(n, c, h // k, k, w // k, k)
                .transpose(0, 1, 2, 4, 3, 5)
                .reshape(n, c, h // k, w // k, k * k))
-    idx = windows.argmax(axis=-1)
-    return np.ascontiguousarray(np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0])
+    idx = windows.argmax(axis=-1)[..., None]
+    out = np.ascontiguousarray(np.take_along_axis(windows, idx, axis=-1)[..., 0])
+    gwin = np.zeros_like(windows)
+    np.put_along_axis(gwin, idx, g[..., None], axis=-1)
+    gx = gwin.reshape(n, c, h // k, w // k, k, k).transpose(0, 1, 2, 4, 3, 5).reshape(x.shape)
+    top2 = np.partition(windows, k * k - 2, axis=-1)
+    live = ~((top2[..., -1] == 0.0) & (top2[..., -2] == 0.0))
+    gap = top2[..., -1] - top2[..., -2]
+    return out, np.ascontiguousarray(gx), [float(gap[live].min())] if live.any() else []
+
+
+def pooled_grad(x, k, g):
+    """Output, x.grad and kink margins of a taped maxpool whose output
+    gradient is g."""
+    xt = Tensor(x, requires_grad=True, dtype=x.dtype)
+    with Tape(trace_kinks=True) as tape:
+        y = ops.maxpool2d(xt, k)
+        backward(sum_all(mul(y, Tensor(g, dtype=x.dtype))), tape)
+    return y.data, xt.grad, tape.margins
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("k", [2, 4])
 def test_untaped_maxpool_is_byte_identical_to_windowed_argmax(dtype, k):
-    """Inputs drawn mostly from +0.0 and -0.0 with some plain NaNs: the
-    strided running maxima keep the first occurrence's sign and NaN."""
+    """Inputs drawn mostly from +0.0 and -0.0: the strided running maxima
+    keep the first occurrence's sign, untaped and taped, and with some plain
+    NaNs the NaN. On NaN-free inputs, tie-heavy or continuous, with shapes
+    down to a 1x1 output, backward routes each gradient to the argmax, and
+    the running second maximum gives the top-two margin."""
     rng = np.random.default_rng(13)
     values = np.array([0.0, -0.0, 1.5, -2.0, np.nan], dtype=dtype)
-    for _ in range(40):
-        shape = (int(rng.integers(1, 4)), int(rng.integers(1, 5)),
-                 k * int(rng.integers(1, 5)), k * int(rng.integers(1, 9)))
+    shapes = [(1, 1, k, k)] + [(int(rng.integers(1, 4)), int(rng.integers(1, 5)),
+                                k * int(rng.integers(1, 5)), k * int(rng.integers(1, 9)))
+                               for _ in range(40)]
+    for case, shape in enumerate(shapes):
         x = rng.choice(values, size=shape, p=[0.4, 0.4, 0.05, 0.1, 0.05])
+        g = rng.standard_normal((shape[0], shape[1], shape[2] // k, shape[3] // k)).astype(dtype)
+        want = windowed_argmax_maxpool(x, k, g)
         out = ops.maxpool2d(Tensor(x, dtype=dtype), k).data
         assert out.dtype == dtype
-        assert out.tobytes() == windowed_argmax_maxpool(x, k).tobytes()
+        assert out.tobytes() == want[0].tobytes()
         xt = Tensor(x, requires_grad=True, dtype=dtype)
         with Tape():
             assert ops.maxpool2d(xt, k).data.tobytes() == out.tobytes()
+        x = (rng.choice(values[:4], size=shape, p=[0.35, 0.35, 0.15, 0.15]) if case % 2
+             else rng.standard_normal(shape).astype(dtype))
+        want = windowed_argmax_maxpool(x, k, g)
+        got = pooled_grad(x, k, g)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].dtype == dtype and got[1].tobytes() == want[1].tobytes()
+        assert got[2] == want[2]
 
 
 def test_untaped_maxpool_keeps_the_first_signed_zero():
