@@ -9,11 +9,16 @@ state order, so save -> load -> save is byte-identical.
 
 Each byte passes through memory once: a save streams the header, the
 manifest and then each state array into a temporary file that
-`data.atomic_write` renames over the target, and a load reads each tensor's
-bytes from the file straight into the model's array.
+`data.atomic_write` renames over the target. A load builds the model with
+zero-filled weights, drawing nothing from the seed, then checks each
+manifest entry against the model's array (name, shape, dtype, offset) and
+reads the entry's bytes from the file into that array in place, with no
+intermediate buffer. An entry must have the model's dtype: a load never
+converts.
 """
 
 import json
+import math
 import os
 import struct
 
@@ -88,7 +93,9 @@ def load_checkpoint(path):
         payload_len = size - 9 - mlen
 
         cfg = ModelConfig.from_dict(manifest["config"])
-        model = TextRecognizer(cfg)  # the arrays take the checkpoint's dtype
+        # every array is read below, so nothing is drawn; the name is looked
+        # up in this module, where the benchmark's tracer wraps it
+        model = TextRecognizer(cfg, zero_init=True)
         state = dict(model.state_entries())
         if len(state) != len(manifest["tensors"]):
             raise CheckpointError(f"{path}: manifest has {len(manifest['tensors'])} tensors, "
@@ -109,13 +116,15 @@ def load_checkpoint(path):
             if dtype is None:
                 raise CheckpointError(f"{path}: tensor {name!r} has unknown dtype "
                                       f"{entry['dtype']!r}")
+            if dtype != arr.dtype:
+                raise CheckpointError(f"{path}: tensor {name!r} dtype {entry['dtype']} does "
+                                      f"not match model dtype {_DTYPE_CODES[arr.dtype]}")
             start = entry["offset"]
             if start != end:
                 raise CheckpointError(f"{path}: tensor {name!r} starts at byte {start}, not {end}")
-            end = start + int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-            if end > payload_len:
+            end = start + math.prod(shape) * dtype.itemsize
+            if end > payload_len or f.readinto(arr) != end - start:
                 raise CheckpointError(f"{path}: truncated payload for tensor {name!r}")
-            arr[...] = np.frombuffer(f.read(end - start), dtype=dtype).reshape(shape)
     if end != payload_len:
         raise CheckpointError(f"{path}: {payload_len - end} bytes follow the last tensor")
     return model, cfg

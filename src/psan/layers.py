@@ -14,7 +14,11 @@ from .tensor import Parameter, Tensor, active_tape
 
 
 def glorot_uniform(rng, shape, fan_in, fan_out):
-    """Zero-mean float32 uniform init with bound sqrt(6 / (fan_in + fan_out))."""
+    """Zero-mean float32 uniform init with bound sqrt(6 / (fan_in + fan_out)).
+    With no rng it draws nothing and returns zeros, for a model whose every
+    weight is about to be overwritten (a checkpoint load)."""
+    if rng is None:
+        return np.zeros(shape, dtype=np.float32)
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 

@@ -10,7 +10,11 @@ from .tensor import Tensor
 
 
 class TextRecognizer(Module):
-    def __init__(self, cfg, input_hw=(32, 128)):
+    """The recognizer a config describes. Its weights are drawn from
+    `cfg.seed`, or with `zero_init` are all zeros and nothing is drawn: the
+    build for a caller that overwrites every array, as `load_checkpoint` does."""
+
+    def __init__(self, cfg, input_hw=(32, 128), zero_init=False):
         super().__init__("model")
         cfg.validate()
         self.cfg = cfg
@@ -20,7 +24,7 @@ class TextRecognizer(Module):
         if h % 2 ** k or w % 2 ** k:
             raise ValueError(f"input {h}x{w} must be divisible by 2^{k}")
         self.input_hw = (h, w)
-        rng = np.random.default_rng(cfg.seed)
+        rng = None if zero_init else np.random.default_rng(cfg.seed)
         self.encoder = self.child(Encoder(cfg.encoder_config(), rng, name="model.enc"))
         self.merge = self.child(MergingHead("model.mh", self.encoder.output_channels(),
                                             cfg.max_length, rng))

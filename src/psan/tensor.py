@@ -190,7 +190,10 @@ class Parameter:
     `accum_grad_sq` tracks the decayed mean of squared gradients and
     `accum_update_sq` the decayed mean of squared updates. The gradient is
     allocated as zeros up front so parameters untouched by a backward pass
-    simply keep a zero gradient.
+    simply keep a zero gradient. All three come from `np.zeros`, whose large
+    arrays are fresh zero pages from the OS: a buffer nothing writes, such as
+    the gradient of a model that only recognizes, is never touched, where
+    `np.zeros_like` would write every byte.
     """
 
     __slots__ = ("name", "value", "accum_grad_sq", "accum_update_sq")
@@ -199,11 +202,12 @@ class Parameter:
         if not isinstance(value, Tensor):
             value = Tensor(value)
         value.requires_grad = True
-        value.grad = np.zeros_like(value.data)
+        shape, dtype = value.data.shape, value.data.dtype
+        value.grad = np.zeros(shape, dtype)
         self.name = name
         self.value = value
-        self.accum_grad_sq = np.zeros_like(value.data)
-        self.accum_update_sq = np.zeros_like(value.data)
+        self.accum_grad_sq = np.zeros(shape, dtype)
+        self.accum_update_sq = np.zeros(shape, dtype)
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.value.data.shape})"

@@ -52,11 +52,14 @@ def train(cfg, dataset=None, out_path=None, log_fn=None, target_loss=None):
     first tape node whose output is non-finite. A residual unit writes its
     skip sum and last relu into its conv3 `conv_bn` output, so an overflow
     in that sum is named as that `conv_bn` node, in the unit's scope.
-    An `out_path` in a missing directory raises FileNotFoundError first.
+    An `out_path` in a missing directory raises FileNotFoundError first, and
+    one that is itself a directory IsADirectoryError, both before step 1.
     """
     cfg.validate()
     if out_path and not os.path.isdir(os.path.dirname(out_path) or "."):
         raise FileNotFoundError(f"cannot write checkpoint {out_path}: no such directory")
+    if out_path and os.path.isdir(out_path):
+        raise IsADirectoryError(f"cannot write checkpoint {out_path}: is a directory")
     model = TextRecognizer(cfg)
     model.train()
     params = model.params()

@@ -152,6 +152,12 @@ def test_rejects_manifest_mismatches(tmp_path):
     with pytest.raises(CheckpointError, match="unknown dtype"):
         load_checkpoint(typed)
 
+    widened = tmp_path / "wide.ckpt"  # an f64 entry under an f32 config is not cast
+    rewrite_manifest(path, widened, lambda m: m["tensors"][0].update(dtype="f64"))
+    with pytest.raises(CheckpointError, match="'model.enc.stem.conv.weight' dtype f64 "
+                                              "does not match model dtype f32"):
+        load_checkpoint(widened)
+
     for key in ("name", "dtype"):  # unhashable, so they must not reach a lookup
         listed = tmp_path / f"{key}-list.ckpt"
         rewrite_manifest(path, listed, lambda m: m["tensors"][0].update({key: ["f32"]}))
@@ -305,3 +311,54 @@ def test_checkpoint_io_holds_no_copy_of_the_payload(tmp_path):
     assert save_transient < size / 2, (save_transient, size)
     assert load_transient < size / 2, (load_transient, size)
     assert len(loaded.state_entries()) == len(model.state_entries())
+
+
+def test_load_draws_no_initial_weights(tmp_path, monkeypatch):
+    """Every array of a loaded model comes from the file, so the build
+    draws nothing from the config's seed: a load succeeds, and loads the
+    saved bytes, with every generator's `uniform` raising."""
+    path = tmp_path / "m.ckpt"
+    saved = messy_model()
+    save_checkpoint(path, saved)
+
+    class NoDraws(np.random.Generator):
+        def uniform(self, *args, **kwargs):
+            raise AssertionError("load_checkpoint drew initial weights")
+
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed=None: NoDraws(np.random.PCG64(seed)))
+    loaded, _ = load_checkpoint(path)
+    for (n1, a1), (n2, a2) in zip(saved.state_entries(), loaded.state_entries()):
+        assert n1 == n2 and a1.tobytes() == a2.tobytes(), n1
+
+
+def test_load_holds_little_beyond_its_parsed_manifest(tmp_path):
+    """A load's transient (traced peak minus what it leaves held) is the
+    parsed manifest, and next to nothing else: each tensor is read into
+    the model's own array, and the build draws no initial weights. Measured
+    on the default config (7.7 MB file, 163 kB manifest; Python 3.11, numpy
+    2.4): parsing the manifest takes 914 kB and a whole load 919 kB. A build
+    that draws the Glorot init in float64 and reads through a bytes copy per
+    tensor takes 1,247 kB, 333 kB above the parse, past the bound of a 64th
+    of the file (121 kB)."""
+    path = tmp_path / "default.ckpt"
+    save_checkpoint(path, TextRecognizer(ModelConfig()))
+    with open(path, "rb") as f:
+        (mlen,) = struct.unpack("<I", f.read(9)[5:9])
+        blob_at = f.tell()
+    tracemalloc.start()
+    try:
+        with open(path, "rb") as f:
+            f.seek(blob_at)
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            json.loads(f.read(mlen).decode("utf-8"))
+            parse = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        loaded, cfg = load_checkpoint(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert peak - held < parse + size / 64, (peak - held, parse, size)
+    assert cfg == loaded.cfg == ModelConfig()

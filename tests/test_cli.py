@@ -279,6 +279,17 @@ def test_train_into_a_missing_directory_fails_before_the_first_step(workdir, tmp
     assert list(tmp_path.rglob("*.tmp")) == []
 
 
+def test_train_into_an_existing_directory_fails_before_the_first_step(workdir, tmp_path,
+                                                                      capsys):
+    out = tmp_path / "existing"
+    out.mkdir()
+    assert main(["train", "--config", workdir["cfg"], "--out", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: cannot write checkpoint {out}: is a directory\n")
+    assert out.is_dir() and list(out.iterdir()) == []
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
 def test_a_manifest_with_a_negative_seed_names_its_line(workdir, tmp_path, capsys):
     path = tmp_path / "manifest.tsv"
     path.write_text("0\tab\t-5\n")
