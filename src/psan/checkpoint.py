@@ -97,6 +97,7 @@ def load_checkpoint(path):
         # up in this module, where the benchmark's tracer wraps it
         model = TextRecognizer(cfg, zero_init=True)
         state = dict(model.state_entries())
+        names = set(state)
         if len(state) != len(manifest["tensors"]):
             raise CheckpointError(f"{path}: manifest has {len(manifest['tensors'])} tensors, "
                                   f"model expects {len(state)}")
@@ -105,9 +106,11 @@ def load_checkpoint(path):
             if not _well_formed(entry):
                 raise CheckpointError(f"{path}: malformed tensor entry {entry!r}")
             name = entry["name"]
-            arr = state.get(name)
+            arr = state.pop(name, None)  # so each name is read once
             if arr is None:
-                raise CheckpointError(f"{path}: unknown tensor {name!r} in manifest")
+                raise CheckpointError(f"{path}: tensor {name!r} named twice in manifest"
+                                      if name in names else
+                                      f"{path}: unknown tensor {name!r} in manifest")
             shape = tuple(entry["shape"])
             if shape != arr.shape:
                 raise CheckpointError(f"{path}: tensor {name!r} shape {shape} "

@@ -44,6 +44,7 @@ class ModelConfig:
                 names = " or ".join("None" if k is type(None) else k.__name__ for k in kinds)
                 raise ValueError(f"{f.name} must be {names}, got {value!r}")
         self.encoder_config().validate()
+        self.render_options().validate()
         if self.max_length < 2:
             raise ValueError(f"max_length must be >= 2, got {self.max_length}")
         if self.hidden_size < 1 or self.embedding_dim < 1:

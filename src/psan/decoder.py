@@ -77,6 +77,19 @@ class Decoder(Module):
         h = self.gru(inp, h)
         return h, self.cls(h)
 
+    def targets(self, labels, t_total):
+        """Each label's class indices followed by eos. Raises ValueError for a
+        character outside the charset or a label that needs more than
+        `t_total` steps."""
+        targets = []
+        for lab in labels:
+            seq = self.charset.encode(lab)
+            if len(seq) + 1 > t_total:
+                raise ValueError(f"label {lab!r} needs {len(seq) + 1} steps, "
+                                 f"decoder has {t_total}")
+            targets.append(seq + [self.charset.eos])
+        return targets
+
     def teacher_forced(self, channels, labels):
         """Teacher-forced pass; returns (mean nll loss, per-step logits list).
 
@@ -87,13 +100,7 @@ class Decoder(Module):
         n, t_total = self._check_channels(channels)
         if len(labels) != n:
             raise ValueError(f"{len(labels)} labels for batch of {n}")
-        targets = []
-        for lab in labels:
-            seq = self.charset.encode(lab)
-            if len(seq) + 1 > t_total:
-                raise ValueError(f"label {lab!r} needs {len(seq) + 1} steps, "
-                                 f"decoder has {t_total}")
-            targets.append(seq + [self.charset.eos])
+        targets = self.targets(labels, t_total)
         steps = max(len(seq) for seq in targets)
         h = Tensor(np.zeros((n, self.hidden_size)), dtype=channels.data.dtype)
         logits_seq = []

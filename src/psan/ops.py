@@ -457,25 +457,17 @@ def interp_matrix(n_in, n_out, dtype):
     return m
 
 
-_interp_cache = {}
-
-
-def _cached_interp(n_in, n_out, dtype):
-    key = (n_in, n_out, np.dtype(dtype).name)
-    m = _interp_cache.get(key)
-    if m is None:
-        m = interp_matrix(n_in, n_out, dtype)
-        _interp_cache[key] = m
-    return m
-
-
 def bilinear_upsample(x, factor):
-    """Bilinear upsampling by an integer factor (2, 4, or 8) on H and W."""
+    """Bilinear upsampling by an integer factor (2, 4, or 8) on H and W.
+
+    Each call builds its two interpolation matrices, so a forward writes no
+    shared table; the backward rule keeps the two it built.
+    """
     _require(factor in (2, 4, 8), "bilinear_upsample: unsupported factor {}", factor)
     _require(x.ndim == 4, "bilinear_upsample: input must be 4-d, got {}", x.shape)
     n, c, h, w = x.shape
-    mh = _cached_interp(h, h * factor, x.data.dtype)
-    mw = _cached_interp(w, w * factor, x.data.dtype)
+    mh = interp_matrix(h, h * factor, x.data.dtype)
+    mw = interp_matrix(w, w * factor, x.data.dtype)
     out = Tensor(np.matmul(mh, np.matmul(x.data, mw.T)), dtype=x.data.dtype)
 
     def bwd(g):

@@ -8,14 +8,13 @@ backward rules onto an explicitly opened Tape; with no active tape nothing
 is recorded and tensors behave as plain immutable values.
 
 Each thread has its own stack of open tapes, so a tape opened in one thread
-records nothing that another thread runs, and a forward stores nothing on
-its modules. What is still shared: the interpolation matrices memoised in
-`ops`, which only ever gain identical entries; and a model's own arrays and
-modes. A taped train-mode batch norm updates its running statistics in
-place and an optimizer step writes parameters, so separate models run in
-parallel threads freely, but one model trains in one thread at a time.
-Recognition runs untaped and writes nothing to the model, so any number of
-threads recognize with one model at once.
+records nothing that another thread runs, a forward stores nothing on its
+modules, and no op keeps a module-level table. What threads share is a
+model's own arrays and modes. A taped train-mode batch norm updates its
+running statistics in place and an optimizer step writes parameters, so
+separate models run in parallel threads freely, but one model trains in one
+thread at a time. Recognition runs untaped and writes nothing to the model,
+so any number of threads recognize with one model at once.
 """
 
 import threading

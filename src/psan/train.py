@@ -53,7 +53,9 @@ def train(cfg, dataset=None, out_path=None, log_fn=None, target_loss=None):
     skip sum and last relu into its conv3 `conv_bn` output, so an overflow
     in that sum is named as that `conv_bn` node, in the unit's scope.
     An `out_path` in a missing directory raises FileNotFoundError first, and
-    one that is itself a directory IsADirectoryError, both before step 1.
+    one that is itself a directory IsADirectoryError, both before step 1. A
+    corpus label outside the charset or longer than the decoder's step
+    budget raises ValueError before step 1 too.
     """
     cfg.validate()
     if out_path and not os.path.isdir(os.path.dirname(out_path) or "."):
@@ -65,6 +67,8 @@ def train(cfg, dataset=None, out_path=None, log_fn=None, target_loss=None):
     params = model.params()
     if dataset is None:
         dataset = dataset_from_config(cfg)
+    # every label meets the checks of a teacher-forced step before step 1
+    model.decoder.targets([dataset.label(i) for i in range(len(dataset))], cfg.max_length)
     order_rng = np.random.default_rng([cfg.seed, 17])
     metrics = []
     step = 0

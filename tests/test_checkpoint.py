@@ -147,6 +147,11 @@ def test_rejects_manifest_mismatches(tmp_path):
     with pytest.raises(CheckpointError, match="unknown tensor"):
         load_checkpoint(renamed)
 
+    twice = tmp_path / "twice.ckpt"  # entry 1, of the same shape, would go unread
+    rewrite_manifest(path, twice, lambda m: m["tensors"][1].update(name=m["tensors"][0]["name"]))
+    with pytest.raises(CheckpointError, match="'model.enc.stem.conv.weight' named twice"):
+        load_checkpoint(twice)
+
     typed = tmp_path / "dtype.ckpt"
     rewrite_manifest(path, typed, lambda m: m["tensors"][0].update(dtype="f16"))
     with pytest.raises(CheckpointError, match="unknown dtype"):

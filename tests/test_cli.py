@@ -247,6 +247,28 @@ def test_gen_data_rejects_an_empty_dataset(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gen_data_rejects_bad_render_knobs_at_config_load(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"noise": 0.5}')
+    out = tmp_path / "corpus"
+    assert main(["gen-data", "--out", str(out), "--config", str(cfg)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: noise amplitude must be in [0, 0.1], got 0.5\n")
+    assert not (out / "manifest.tsv").exists()
+
+
+def test_train_checks_every_label_before_the_first_step(workdir, tmp_path, capsys):
+    manifest = tmp_path / "manifest.tsv"
+    labels = ["ab"] * 7 + ["abababababab"]  # this seed orders the long one after step 1
+    manifest.write_text("".join(f"{i}\t{lab}\t{i}\n" for i, lab in enumerate(labels)))
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["train", "--config", workdir["cfg"], "--manifest", str(manifest),
+                 "--out", str(ckpt)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: label 'abababababab' needs 13 steps, decoder has 4\n")
+    assert list(tmp_path.iterdir()) == [manifest]
+
+
 @pytest.mark.parametrize("command", ["gen-data", "eval", "robustness"])
 def test_a_negative_seed_flag_is_one_error_line_naming_it(workdir, tmp_path, capsys, command):
     out = tmp_path / "corpus"

@@ -77,6 +77,9 @@ def test_validation_errors():
         (dict(vab_enabled=1), "vab_enabled must be bool"),
         (dict(noise="0.05"), "noise must be float"),
         (dict(alphabet=["a"]), "alphabet must be str"),
+        (dict(noise=0.5), "noise amplitude must be in"),
+        (dict(shear_deg=-1.0), "shear must be in"),
+        (dict(shear_deg=20), "shear must be in"),
     ]
     for kw, msg in cases:
         with pytest.raises(ValueError, match=msg):

@@ -179,17 +179,23 @@ def test_the_package_has_no_global_statement():
 
 
 def module_tables():
-    """Length of every module-level dict, list and set in the package."""
-    return {f"{name}.{attr}": len(value)
+    """Every module-level dict, list and set in the package, as the identity
+    of each entry, so a table that gains, loses or rebinds one shows."""
+    def entries(value):
+        if isinstance(value, dict):
+            return [(id(k), id(v)) for k, v in value.items()]
+        return sorted(map(id, value)) if isinstance(value, set) else list(map(id, value))
+
+    return {f"{name}.{attr}": entries(value)
             for name, module in list(sys.modules.items())
             if name == "psan" or name.startswith("psan.")
             for attr, value in vars(module).items()
             if isinstance(value, (dict, list, set))}
 
 
-def test_a_forward_grows_no_process_global_table_but_the_interpolation_memo():
-    """Training and recognition at an input size nothing else uses write to
-    no module-level table except the memoised interpolation matrices."""
+def test_a_forward_grows_no_process_global_table():
+    """Training and recognition at an input size nothing else uses leave
+    every module-level table as it was."""
     model = TextRecognizer(tiny_cfg(), input_hw=(12, 44))
     images = Tensor(np.random.default_rng(4).uniform(-1, 1, (2, 3, 12, 44)))
     before = module_tables()
@@ -197,5 +203,4 @@ def test_a_forward_grows_no_process_global_table_but_the_interpolation_memo():
         backward(model.loss(images, ["ab", "b"]), tape)
     model.recognize(images)
     after = module_tables()
-    assert after.keys() == before.keys()
-    assert [key for key in after if after[key] != before[key]] == ["psan.ops._interp_cache"]
+    assert after == before
