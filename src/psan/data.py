@@ -278,6 +278,7 @@ class SyntheticDataset:
 
     @classmethod
     def from_manifest(cls, path, opts=None):
+        opts = opts or RenderOptions()
         records = []
         with open(path, encoding="utf-8") as f:
             for line_no, line in enumerate(f, 1):
@@ -293,6 +294,8 @@ class SyntheticDataset:
                     raise ValueError(f"{path}:{line_no}: index and seed must be integers") from None
                 if record[2] < 0:
                     raise ValueError(f"{path}:{line_no}: seed must be >= 0")
+                if not record[1] and not opts.allow_empty:
+                    raise ValueError(f"{path}:{line_no}: empty label")
                 records.append(record)
         if not records:
             raise ValueError(f"{path}: manifest has no samples")

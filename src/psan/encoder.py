@@ -99,27 +99,18 @@ class VisualAttentionBlock(Module):
         return self.out(ops.gate_multiply(x, sm))
 
 
-class PlainBranch(Module):
-    """Attention-free substitute branch with the same output shape."""
+class PlainBranch(ConvBNReLU):
+    """Attention-free substitute branch: the same-size 3x3 conv+BN+ReLU block itself."""
 
     def __init__(self, name, channels, rng):
-        super().__init__(name)
-        self.block = self.child(ConvBNReLU(f"{name}.conv", channels, channels, 3, rng, padding=1))
-
-    def forward(self, x):
-        return self.block(x)
+        super().__init__(name, channels, channels, 3, rng, padding=1)
 
 
-class Transition(Module):
-    """Opens the next scale: one stride-2 3x3 conv+BN+ReLU doubling channels."""
+class Transition(ConvBNReLU):
+    """Opens the next scale: the stride-2 3x3 conv+BN+ReLU block itself, doubling channels."""
 
     def __init__(self, name, c_in, rng):
-        super().__init__(name)
-        self.block = self.child(ConvBNReLU(f"{name}", c_in, 2 * c_in, 3, rng,
-                                           stride=2, padding=1))
-
-    def forward(self, x):
-        return self.block(x)
+        super().__init__(name, c_in, 2 * c_in, 3, rng, stride=2, padding=1)
 
 
 class FusionBlock(Module):

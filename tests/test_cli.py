@@ -269,6 +269,20 @@ def test_train_checks_every_label_before_the_first_step(workdir, tmp_path, capsy
     assert list(tmp_path.iterdir()) == [manifest]
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_an_empty_manifest_label_names_its_line_before_any_work(workdir, tmp_path, capsys,
+                                                                command):
+    manifest = tmp_path / "manifest.tsv"
+    labels = ["ab"] * 7 + [""]  # this seed orders the empty one after step 1
+    manifest.write_text("".join(f"{i}\t{lab}\t{i}\n" for i, lab in enumerate(labels)))
+    ckpt = tmp_path / "model.ckpt"
+    argv = {"train": ["train", "--config", workdir["cfg"], "--out", str(ckpt)]}.get(
+        command, [command, "--checkpoint", workdir["ckpt"]])
+    assert main(argv + ["--manifest", str(manifest)]) == 1
+    assert capsys.readouterr() == ("", f"error: {manifest}:8: empty label\n")
+    assert list(tmp_path.iterdir()) == [manifest]
+
+
 @pytest.mark.parametrize("command", ["gen-data", "eval", "robustness"])
 def test_a_negative_seed_flag_is_one_error_line_naming_it(workdir, tmp_path, capsys, command):
     out = tmp_path / "corpus"

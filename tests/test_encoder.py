@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from psan.encoder import (Encoder, EncoderConfig, FusionBlock, PlainBranch,
-                          ResidualStructure, ResidualUnit, VisualAttentionBlock)
+                          ResidualStructure, ResidualUnit, Transition, VisualAttentionBlock)
 from psan.gradcheck import COMPOSITE_TOL, check_case
+from psan.layers import ConvBNReLU
 from psan.tensor import Tape, Tensor, backward, sum_all
 from psan import ops
 
@@ -159,6 +160,15 @@ def test_plain_branch_matches_attention_shape():
     vab = VisualAttentionBlock("v", 5, 3, rng)
     vab.eval()
     assert plain.forward(x).shape == vab.forward(x).shape == x.shape
+
+
+def test_transition_and_plain_branch_are_their_conv_bn_relu_blocks():
+    rng = np.random.default_rng(8)
+    for blk, stride, c_out in ((PlainBranch("p", 4, rng), 1, 4), (Transition("t", 4, rng), 2, 8)):
+        assert type(blk).forward is ConvBNReLU.forward
+        assert [m.name for m in blk.modules()] == [blk.name, f"{blk.name}.conv", f"{blk.name}.bn"]
+        assert blk.conv.weight.value.shape == (c_out, 4, 3, 3)
+        assert (blk.conv.stride, blk.conv.padding) == (stride, 1)
 
 
 def test_fusion_hop_structure():

@@ -625,6 +625,26 @@ def test_embedding_lookup_and_accumulation():
     assert np.abs(table.grad[[0, 1, 3, 4, 5, 6]]).max() == 0
 
 
+def test_embedding_gathers_rows_and_sums_repeated_gradients():
+    rng = np.random.default_rng(14)
+    table = Tensor(rng.standard_normal((5, 3)), requires_grad=True, dtype=np.float64)
+    for bad in ([0, -1], [5, 0]):  # a negative index, and one equal to the row count
+        with pytest.raises(ValueError, match="out of range for 5 rows"):
+            ops.embedding(table, bad)
+    with pytest.raises(ValueError, match="1-d"):
+        ops.embedding(table, [[0, 1], [2, 3]])
+    upstream = rng.standard_normal((3, 3))
+    with Tape() as tape:
+        out = ops.embedding(table, [4, 1, 4])
+        backward(sum_all(mul(out, Tensor(upstream, dtype=np.float64))), tape)
+    np.testing.assert_array_equal(out.data, table.data[[4, 1, 4]])
+    np.testing.assert_array_equal(table.grad[4], upstream[0] + upstream[2])
+    np.testing.assert_array_equal(table.grad[1], upstream[1])
+    assert not table.grad[[0, 2, 3]].any()
+    for dtype in (np.float32, np.float64):
+        assert ops.embedding(Tensor(table.data, dtype=dtype), [0]).data.dtype == dtype
+
+
 def test_gru_zero_weights_halves_hidden():
     rng = np.random.default_rng(13)
     cell = GRUCell("g", 3, 4, rng)

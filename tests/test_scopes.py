@@ -4,6 +4,7 @@ import re
 from collections import Counter
 
 import numpy as np
+import pytest
 
 from psan.config import ModelConfig
 from psan.encoder import ResidualUnit, VisualAttentionBlock
@@ -26,9 +27,16 @@ def traced_loss():
 
 def test_every_node_is_named_after_a_module():
     model, tape = traced_loss()
-    names = {m.name for m in model.modules()}
-    assert tape.nodes and all(node.scope in names for node in tape.nodes)
+    names = Counter(m.name for m in model.modules())
+    assert tape.nodes and all(names[node.scope] == 1 for node in tape.nodes)
     assert tape.scopes == []
+
+
+@pytest.mark.parametrize("overrides", [{}, {"vab_enabled": False}, {"num_scales": 4}])
+def test_every_module_path_is_unique(overrides):
+    model = TextRecognizer(ModelConfig(**overrides), zero_init=True)
+    names = Counter(m.name for m in model.modules())
+    assert [n for n, c in names.items() if c > 1] == []
 
 
 def test_scopes_name_the_innermost_module():
