@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from contextlib import nullcontext
 
 from . import gradcheck as gradcheck_mod
 from .checkpoint import load_checkpoint
@@ -135,14 +134,22 @@ def _cmd_train(args):
     cfg = _build_config(args)
     dataset = (SyntheticDataset.from_manifest(args.manifest, opts=cfg.render_options())
                if args.manifest else None)
-    with open(args.log, "w", encoding="utf-8") if args.log else nullcontext() as log_file:
-        def log_fn(line):
-            text = json.dumps(line, sort_keys=True)
-            print(text)
-            if log_file:
-                log_file.write(text + "\n")
+    log_file = None
 
+    def log_fn(line):
+        nonlocal log_file
+        text = json.dumps(line, sort_keys=True)
+        print(text)
+        if args.log:
+            if log_file is None:  # at step 1, so a run that fails before it keeps an old log
+                log_file = open(args.log, "w", encoding="utf-8", buffering=1)
+            log_file.write(text + "\n")
+
+    try:
         train(cfg, dataset=dataset, out_path=args.out, log_fn=log_fn)
+    finally:
+        if log_file is not None:
+            log_file.close()
     if args.out:
         print(f"checkpoint written to {args.out}")
     return 0

@@ -20,7 +20,9 @@ Two fused nodes round every value as the primitive ops they replace would,
 and the composed forms live in the test suite as their references:
 `conv_bn`, a conv, its batch norm and an optional relu, which every
 conv/BN pair of a model records under a tape (conv2d and batchnorm2d share
-its code); and a GRU step.
+its code); and a GRU step. A `conv_bn` node keeps the normalized x_hat for
+backward unless its kernel is 1x1: then backward rebuilds x_hat from the
+input it keeps anyway, with one GEMM and the same roundings.
 Input checks format their error message only when they fail, so a passing
 check costs one call, not one string per op call.
 """
@@ -216,11 +218,13 @@ def conv2d(x, weight, bias, stride=1, padding=0):
 
 
 def _bn_forward(xv, gamma, beta, running_mean, running_var, training, out=None):
-    """Batch norm of an (N, C, L) array; returns (output, x_hat, invstd).
+    """Batch norm of an (N, C, L) array; returns (output, x_hat, invstd, mean).
 
-    The output goes into `out`, a fresh buffer if None. `out` may be xv
-    itself: xv is read only before x_hat exists. Train mode folds the batch
-    statistics into the running ones in place.
+    `mean` is the per-channel mean x_hat was normalized with: the batch mean
+    in train mode, a copy of the running mean in eval mode, so a later step
+    cannot change it. The output goes into `out`, a fresh buffer if None.
+    `out` may be xv itself: xv is read only before x_hat exists. Train mode
+    folds the batch statistics into the running ones in place.
     """
     n, c, l = xv.shape
     _require(gamma.shape == (c,) and beta.shape == (c,),
@@ -243,13 +247,14 @@ def _bn_forward(xv, gamma, beta, running_mean, running_var, training, out=None):
         invstd = 1.0 / np.sqrt(var + BN_EPS)
     else:
         invstd = 1.0 / np.sqrt(running_var + BN_EPS)
-        xhat = xv - running_mean[:, None]
+        mean = running_mean.copy()
+        xhat = xv - mean[:, None]
         if out is None:
             out = np.empty_like(xhat)
     xhat *= invstd[:, None]
     np.multiply(xhat, gamma.data[:, None], out=out)
     out += beta.data[:, None]
-    return out, xhat, invstd
+    return out, xhat, invstd, mean
 
 
 def _bn_backward(gv, xhat, invstd, gamma, beta, training, need_x):
@@ -293,8 +298,8 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, training=True):
     """
     _require(x.ndim == 4, "batchnorm2d: input must be 4-d, got {}", x.shape)
     n, c, h, w = x.shape
-    out_data, xhat, invstd = _bn_forward(x.data.reshape(n, c, h * w), gamma, beta,
-                                         running_mean, running_var, training)
+    out_data, xhat, invstd, _ = _bn_forward(x.data.reshape(n, c, h * w), gamma, beta,
+                                            running_mean, running_var, training)
     out = Tensor(out_data.reshape(n, c, h, w), dtype=x.data.dtype)
 
     def bwd(g):
@@ -306,6 +311,18 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, training=True):
     return record("batchnorm2d", (x, gamma, beta), out, bwd)
 
 
+def _conv_bn_backward(g, out, xhat, invstd, x, weight, bias, gamma, beta, stride, padding,
+                      training, relu):
+    """conv_bn's rule from the output gradient g and the (N, C_out, L) x_hat:
+    the relu mask, then batch-norm backward, then conv backward."""
+    if relu:
+        g = g * (out.data > 0)
+    gz = _bn_backward(g.reshape(xhat.shape), xhat, invstd, gamma, beta, training,
+                      x.requires_grad or weight.requires_grad or bias.requires_grad)
+    if gz is not None:
+        _conv_backward(x, weight, bias, gz.reshape(g.shape), stride, padding)
+
+
 def conv_bn(x, weight, bias, gamma, beta, running_mean, running_var, stride=1, padding=0,
             training=True, relu=False):
     """batchnorm2d(conv2d(x)), then relu when asked, as one tape node.
@@ -313,19 +330,24 @@ def conv_bn(x, weight, bias, gamma, beta, running_mean, running_var, stride=1, p
     It runs the conv2d and batchnorm2d code itself, writes the batch norm's
     output into the dead conv output, and clamps that buffer in place for
     the relu; the relu's kink margin goes to `tape.margins` as `relu`
-    reports it. So a node keeps only its output and x_hat: no conv output,
-    no column matrix (backward rebuilds it from x), no pre-relu values.
-    Backward multiplies by the exact 0/1 relu mask, runs batch-norm
-    backward from x_hat, then conv backward. Without the relu, backward
-    never reads the output, so a caller may write over it once nothing
-    else reads it (see `ResidualUnit.forward`). Every value rounds as in the
-    three-op tape, and the node stands where that tape's last node stood,
-    so shared inputs receive their gradient contributions in the same order.
+    reports it. So a node keeps no conv output, no column matrix (backward
+    rebuilds it from x) and no pre-relu values. Besides its output, a node
+    with a 3x3 or strided kernel keeps x_hat. A 1x1, stride-1, unpadded
+    node keeps only the per-channel mean and invstd it normalized with:
+    backward runs the conv's one GEMM on x again and rebuilds x_hat with
+    forward's two roundings, (z - mean) * invstd. Backward then multiplies
+    by the exact 0/1 relu mask, runs batch-norm backward from x_hat, then
+    conv backward. Without the relu, backward never reads the output, so a
+    caller may write over it once nothing else reads it (see
+    `ResidualUnit.forward`). Every value rounds as in the three-op tape,
+    and the node stands where that tape's last node stood, so shared inputs
+    receive their gradient contributions in the same order.
     """
     h_out, w_out = _conv_geometry(x, weight, bias, stride, padding)
     n, c_out = x.shape[0], weight.shape[0]
     z = _conv_forward(x.data, weight.data, bias.data, stride, padding, h_out, w_out)
-    y, xhat, invstd = _bn_forward(z, gamma, beta, running_mean, running_var, training, out=z)
+    y, xhat, invstd, mean = _bn_forward(z, gamma, beta, running_mean, running_var, training,
+                                        out=z)
     if relu:
         tape = active_tape()
         if tape is not None and tape.margins is not None:
@@ -333,13 +355,16 @@ def conv_bn(x, weight, bias, gamma, beta, running_mean, running_var, stride=1, p
         np.maximum(y, 0, out=y)
     out = Tensor(y.reshape(n, c_out, h_out, w_out), dtype=x.data.dtype)
 
-    def bwd(g):  # shapes come from g and xhat, so the closure keeps few cells
-        if relu:
-            g = g * (out.data > 0)
-        gz = _bn_backward(g.reshape(xhat.shape), xhat, invstd, gamma, beta, training,
-                          x.requires_grad or weight.requires_grad or bias.requires_grad)
-        if gz is not None:
-            _conv_backward(x, weight, bias, gz.reshape(g.shape), stride, padding)
+    if weight.shape[2:] == (1, 1) and stride == 1 and padding == 0:
+        def bwd(g):  # x_hat again, from one GEMM on x; no x_hat is kept
+            xh = _conv_forward(x.data, weight.data, bias.data, 1, 0, *g.shape[2:]) - mean[:, None]
+            xh *= invstd[:, None]
+            _conv_bn_backward(g, out, xh, invstd, x, weight, bias, gamma, beta, 1, 0,
+                              training, relu)
+    else:
+        def bwd(g):  # shapes come from g and xhat, so the closure keeps few cells
+            _conv_bn_backward(g, out, xhat, invstd, x, weight, bias, gamma, beta, stride,
+                              padding, training, relu)
 
     return record("conv_bn", (x, weight, bias, gamma, beta), out, bwd)
 

@@ -41,8 +41,11 @@ class Tensor:
     already back another tensor. That is safe only for an array no later op
     or backward rule reads: `ResidualUnit.forward` reuses its conv3 output,
     which the relu-free `conv_bn` rule never reads, for the sum and then
-    the relu, whose rule reads only its own output. The `maxpool2d` rule
-    reads its input and output, so no `out=` may write either later.
+    the relu, whose rule reads only its own output. A `conv_bn` rule reads
+    its input for the weight gradient, and a 1x1 one reads it a second time
+    to rebuild x_hat, so no `out=` may write a conv input later; the
+    `maxpool2d` rule reads its input and output, so no `out=` may write
+    either later.
     """
 
     __slots__ = ("data", "grad", "requires_grad")

@@ -65,6 +65,36 @@ def test_train_logs_metrics_and_checkpoint(workdir, tmp_path, capsys):
     assert json.dumps(records[0], sort_keys=True) in out
 
 
+def test_train_failing_before_step_1_leaves_an_old_log_as_it_was(workdir, tmp_path, capsys):
+    log = tmp_path / "run.jsonl"
+    log.write_bytes(b'{"old": 1}\n')
+    code = main(["train", "--config", workdir["cfg"], "--log", str(log),
+                 "--out", str(tmp_path / "missing" / "m.ckpt")])
+    assert code == 1
+    assert "error: cannot write checkpoint" in capsys.readouterr().err
+    assert log.read_bytes() == b'{"old": 1}\n'
+
+
+def test_train_log_streams_one_line_per_step(workdir, tmp_path, monkeypatch):
+    """Each step's line is in the file when the next step starts, and an old
+    log is replaced, not appended to."""
+    log = tmp_path / "run.jsonl"
+    log.write_text('{"old": 1}\n')
+    seen = []
+    real = cli.train
+
+    def spy(cfg, log_fn=None, **kwargs):
+        def logged(line):
+            log_fn(line)
+            seen.append(log.read_text().splitlines())
+        return real(cfg, log_fn=logged, **kwargs)
+
+    monkeypatch.setattr(cli, "train", spy)
+    assert main(["train", "--config", workdir["cfg"], "--log", str(log)]) == 0
+    assert [[json.loads(l)["step"] for l in lines] for lines in seen] == [[1], [1, 2]]
+    assert log.read_text().splitlines() == seen[-1]
+
+
 def test_train_override_flags_reach_the_config(tmp_path):
     ckpt = tmp_path / "o.ckpt"
     code = main(["train", "--config", str(tmp_path / "absent.json")])

@@ -4,7 +4,8 @@ With no tape open, each conv->BN pair runs as one conv whose weight and bias
 absorb the batch norm's running statistics, whatever its mode: same
 features, rebuilt fresh every call. Under a tape each pair (and its relu)
 records one `conv_bn` node that rounds every value as the separate conv2d,
-batchnorm2d and relu ops, and keeps only its output and x_hat.
+batchnorm2d and relu ops, and keeps only its output and, for a 3x3 or
+strided kernel, x_hat.
 """
 
 import tracemalloc
@@ -306,4 +307,29 @@ def test_a_taped_block_keeps_only_its_output_and_x_hat(stride):
     finally:
         tracemalloc.stop()
     assert kept <= 2 * y.data.nbytes * 1.01, (kept, y.data.nbytes)
+    assert [n.op for n in tape.nodes] == ["conv_bn"]
+
+
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+def test_a_taped_1x1_block_keeps_only_its_output(training):
+    """A 1x1 node keeps no x_hat either, only its output and two per-channel
+    vectors: backward rebuilds x_hat from the input with one GEMM."""
+    rng = np.random.default_rng(0)
+    blk = ConvBNReLU("b", 4, 4, 1, rng)
+    if not training:
+        perturb(blk, rng)
+        blk.eval()
+    x = Tensor(rng.standard_normal((16, 4, 16, 64)))
+    with Tape():
+        blk(x)  # warm up, so one-time allocations of a first call are not counted
+    tape = Tape()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with tape:
+            y = blk(x)
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert kept <= y.data.nbytes * 1.01, (kept, y.data.nbytes)
     assert [n.op for n in tape.nodes] == ["conv_bn"]

@@ -127,7 +127,7 @@ def test_default_batch_16_train_step_peak_memory():
         train(cfg, dataset=dataset, log_fn=log_fn)
     finally:
         tracemalloc.stop()
-    assert len(peaks) == 2 and peaks[-1] <= 90 * 2 ** 20, peaks
+    assert len(peaks) == 2 and peaks[-1] <= 72 * 2 ** 20, peaks
 
 
 def test_checkpoint_written_each_epoch_and_on_completion(tmp_path, monkeypatch):
