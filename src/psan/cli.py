@@ -223,7 +223,7 @@ def main(argv=None):
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, RuntimeError, NonFiniteError) as exc:
+    except (ValueError, OSError, RuntimeError, NonFiniteError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -117,8 +117,10 @@ class Decoder(Module):
         return loss, logits_seq
 
     def greedy(self, channels):
-        """Greedy decode: argmax each step (ties to the lowest index), stop at
-        eos or after max_length steps; eos is not part of the returned text.
+        """Greedy decode: argmax each step (ties to the lowest index), until
+        every row has emitted eos or after max_length steps. Each row's text
+        is then decoded once, by `Charset.decode`, from its argmaxes before
+        its first eos.
 
         Nothing here is differentiated, so around the GRU a step is plain
         numpy: the embedding-row gather, the step slice, the concatenation
@@ -128,25 +130,20 @@ class Decoder(Module):
         bit-identical to the taped step.
         """
         n, t_total = self._check_channels(channels)
+        eos = self.charset.eos
         table = self.embed.table.value.data
         cls_w, cls_b = self.cls.weight.value.data, self.cls.bias.value.data
         ch = channels.data
         h = Tensor(np.zeros((n, self.hidden_size)), dtype=ch.dtype)
         prev = np.full(n, self.charset.sos, dtype=np.int64)
         done = np.zeros(n, dtype=bool)
-        texts = [[] for _ in range(n)]
+        # one argmax per step; the spare last column ends every row with eos
+        preds = np.full((n, t_total + 1), eos, dtype=np.int64)
         for t in range(t_total):
             x = np.concatenate([table[prev], ch[:, t, :]], axis=1)
             h = self.gru(Tensor(x, dtype=table.dtype), h)
-            pred = (h.data @ cls_w + cls_b).argmax(axis=1)
-            for i in range(n):
-                if done[i]:
-                    continue
-                if pred[i] == self.charset.eos:
-                    done[i] = True
-                else:
-                    texts[i].append(self.charset.chars[pred[i]])
+            preds[:, t] = prev = (h.data @ cls_w + cls_b).argmax(axis=1)
+            done |= prev == eos
             if done.all():
                 break
-            prev = pred
-        return ["".join(t) for t in texts]
+        return [self.charset.decode(row[:row.index(eos)]) for row in preds.tolist()]

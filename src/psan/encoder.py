@@ -32,8 +32,8 @@ class EncoderConfig:
             raise ValueError(f"num_scales must be in 1..4, got {self.num_scales}")
         if not 1 <= self.rus_per_rs <= 6:
             raise ValueError(f"rus_per_rs must be in 1..6, got {self.rus_per_rs}")
-        if self.vab_convs < 1:
-            raise ValueError(f"vab_convs must be >= 1, got {self.vab_convs}")
+        if not 1 <= self.vab_convs <= 8:
+            raise ValueError(f"vab_convs must be in 1..8, got {self.vab_convs}")
 
 
 class ResidualUnit(Module):

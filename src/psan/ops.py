@@ -583,23 +583,18 @@ def softmax(x):
 
 
 def embedding_lookup(table, idx):
-    """Fetch one row of an embedding table as a (E,) tensor."""
-    v, _ = table.shape
-    _require(0 <= idx < v, "embedding_lookup: index {} out of range for {} rows", idx, v)
-    out = Tensor(table.data[idx].copy(), dtype=table.data.dtype)
-
-    def bwd(g):
-        if table.requires_grad:
-            gt = np.zeros_like(table.data)
-            gt[idx] = g
-            accumulate_grad(table, gt)
-
-    return record("embedding_lookup", (table,), out, bwd)
+    """Fetch one row of an embedding table as a (E,) tensor: the one-index
+    `embedding` gather, reshaped."""
+    return reshape(embedding(table, [idx]), (table.shape[1],))
 
 
 def embedding(table, indices):
-    """Batched row gather: indices (N,) -> (N, E). Repeats accumulate."""
-    indices = np.asarray(indices, dtype=np.int64)
+    """Batched row gather: indices (N,) -> (N, E). Repeats accumulate.
+    Indices must be integers; floats and bools raise rather than truncate."""
+    indices = np.asarray(indices)
+    _require(indices.size == 0 or np.issubdtype(indices.dtype, np.integer),
+             "embedding: indices must be integers, got {}", indices.dtype)
+    indices = indices.astype(np.int64, copy=False)
     v, _ = table.shape
     _require(indices.ndim == 1, "embedding: indices must be 1-d")
     _require(np.all((indices >= 0) & (indices < v)),

@@ -175,6 +175,20 @@ def test_rejects_manifest_mismatches(tmp_path):
         load_checkpoint(dropped)
 
 
+def test_rejects_an_oversized_config_before_building_a_model(tmp_path, monkeypatch):
+    path = tmp_path / "base.ckpt"
+    save_checkpoint(path, messy_model())
+    crafted = tmp_path / "vab.ckpt"
+    rewrite_manifest(path, crafted, lambda m: m["config"].update(vab_convs=9))
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("load_checkpoint built a model")
+
+    monkeypatch.setattr("psan.checkpoint.TextRecognizer", no_build)
+    with pytest.raises(ValueError, match="vab_convs must be in 1..8, got 9"):
+        load_checkpoint(crafted)
+
+
 def test_rejects_payload_that_tensors_do_not_tile(tmp_path):
     path = tmp_path / "base.ckpt"
     save_checkpoint(path, messy_model())

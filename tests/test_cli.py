@@ -254,6 +254,16 @@ def test_missing_checkpoint_is_runtime_error(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_an_allocation_failure_is_one_error_line(monkeypatch, capsys):
+    def out_of_memory(args):
+        raise MemoryError("Unable to allocate 37.3 GiB for an array")
+
+    monkeypatch.setitem(cli._COMMANDS, "gradcheck", out_of_memory)
+    assert main(["gradcheck"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: Unable to allocate 37.3 GiB for an array\n"
+
+
 def one_error_line(capsys):
     out, err = capsys.readouterr()
     return out == "" and err.startswith("error:") and "count" in err and err.count("\n") == 1

@@ -68,6 +68,7 @@ def test_validation_errors():
         (dict(epochs=0), "epochs"),
         (dict(batch_size=0), "batch_size"),
         (dict(num_scales=9), "num_scales"),
+        (dict(vab_convs=9), "vab_convs"),
         (dict(train_samples=0), "train_samples"),
         (dict(max_steps=0), "max_steps"),
         (dict(channels="8"), "channels must be int"),

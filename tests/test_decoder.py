@@ -144,6 +144,22 @@ def test_greedy_decodes_bit_identically_to_the_taped_step(dtype):
     assert dec.greedy(channels) == want
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_greedy_cuts_each_row_at_its_own_first_eos(dtype):
+    """Rows of one batch stop at different steps, and one never emits eos:
+    each text ends at that row's first eos, whatever the other rows do
+    afterwards, as in the composed per-step loop."""
+    rng = np.random.default_rng(31)
+    dec = make_decoder(rng, channel_dim=12, hidden=16, embed=8).astype(dtype)
+    dec.cls.bias.value.data[dec.charset.eos] = 0.3
+    channels = Tensor(rng.standard_normal((8, 6, 12)), dtype=dtype)
+    want, _ = composed_greedy(dec, channels)
+    lengths = sorted(len(t) for t in want)
+    assert len(set(lengths)) >= 3 and lengths[-1] == 6, lengths
+    assert dec.greedy(channels) == want
+    assert dec.greedy(Tensor(np.zeros((2, 0, 12)), dtype=dtype)) == ["", ""]
+
+
 def test_greedy_stops_on_rigged_eos():
     rng = np.random.default_rng(23)
     dec = make_decoder(rng)

@@ -633,6 +633,14 @@ def test_embedding_gathers_rows_and_sums_repeated_gradients():
             ops.embedding(table, bad)
     with pytest.raises(ValueError, match="1-d"):
         ops.embedding(table, [[0, 1], [2, 3]])
+    # a float or bool index raises instead of truncating to a row
+    for bad in ([1.7], [True, False]):
+        with pytest.raises(ValueError, match="must be integers"):
+            ops.embedding(table, bad)
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match="must be integers"):
+            ops.embedding_lookup(table, bad)
+    assert ops.embedding(table, []).data.shape == (0, 3)
     upstream = rng.standard_normal((3, 3))
     with Tape() as tape:
         out = ops.embedding(table, [4, 1, 4])
