@@ -2,10 +2,13 @@
 
 Layout: 4 magic bytes "PSAN", one version byte, a 4-byte little-endian
 manifest length, the UTF-8 JSON manifest, then the raw little-endian float
-payload. The manifest carries the config snapshot and, for every state
-tensor, its name, shape, dtype, and byte offset into the payload; the
-tensors tile the payload in order. Entry order is the model's deterministic
-state order, so save -> load -> save is byte-identical.
+payload. The manifest carries the config snapshot and, for every tensor
+recognition reads (parameter values and batch-norm running statistics), its
+name, shape, dtype, and byte offset into the payload; the tensors tile the
+payload in order. Entry order is the model's deterministic state order, so
+save -> load -> save is byte-identical. Version 2 holds no ADADELTA
+accumulators, so a loaded model that trains on starts its optimizer fresh.
+A load builds at the input size `preprocess` produces; no other is saved.
 
 Each byte passes through memory once: a save streams the header, the
 manifest and then each state array into a temporary file that
@@ -25,11 +28,11 @@ import struct
 import numpy as np
 
 from .config import ModelConfig
-from .data import atomic_write
+from .data import TARGET_H, TARGET_W, atomic_write
 from .model import TextRecognizer
 
 MAGIC = b"PSAN"
-VERSION = 1
+VERSION = 2
 _DTYPE_FROM_CODE = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
 _DTYPE_CODES = {dtype: code for code, dtype in _DTYPE_FROM_CODE.items()}
 _ENTRY_KEYS = {"name", "shape", "dtype", "offset"}
@@ -40,6 +43,9 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(path, model):
+    if model.input_hw != (TARGET_H, TARGET_W):
+        raise CheckpointError(f"{path}: a checkpoint holds a {TARGET_H}x{TARGET_W}-input model, "
+                              f"this one takes {model.input_hw[0]}x{model.input_hw[1]}")
     entries = model.state_entries()
     tensors = []
     offset = 0

@@ -43,6 +43,8 @@ class ModelConfig:
             if isinstance(value, bool) != (bool in kinds) or not isinstance(value, accepted):
                 names = " or ".join("None" if k is type(None) else k.__name__ for k in kinds)
                 raise ValueError(f"{f.name} must be {names}, got {value!r}")
+        if self.channels < 1:
+            raise ValueError(f"channels must be >= 1, got {self.channels}")
         self.encoder_config().validate()
         self.render_options().validate()
         if self.max_length < 2:

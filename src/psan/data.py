@@ -141,7 +141,7 @@ def preprocess(img):
     if arr.ndim != 3 or arr.shape[0] != 3:
         raise ValueError(f"preprocess expects (3, h, w), got {arr.shape}")
     _, h, w = arr.shape
-    new_w = max(8, min(TARGET_W, int(np.floor(32.0 * w / h + 0.5))))
+    new_w = max(8, min(TARGET_W, int(np.floor(TARGET_H * w / h + 0.5))))
     resized = resize_bilinear(arr, TARGET_H, new_w)
     if arr.min() >= 0:
         resized = 2.0 * resized - 1.0

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from .data import TARGET_H, TARGET_W
 from .decoder import DEFAULT_CHARSET, Decoder
 from .encoder import Encoder
 from .layers import Module
@@ -14,7 +15,7 @@ class TextRecognizer(Module):
     `cfg.seed`, or with `zero_init` are all zeros and nothing is drawn: the
     build for a caller that overwrites every array, as `load_checkpoint` does."""
 
-    def __init__(self, cfg, input_hw=(32, 128), zero_init=False):
+    def __init__(self, cfg, input_hw=(TARGET_H, TARGET_W), zero_init=False):
         super().__init__("model")
         cfg.validate()
         self.cfg = cfg
@@ -58,13 +59,9 @@ class TextRecognizer(Module):
         return self.decoder.greedy(self.features(images))
 
     def state_entries(self):
-        """Ordered (name, array) pairs covering every piece of trainable and
-        running state: parameter values, optimizer accumulators, BN stats."""
-        entries = []
-        for p in self.params():
-            entries.append((p.name, p.value.data))
-            entries.append((p.name + ".accum_grad_sq", p.accum_grad_sq))
-            entries.append((p.name + ".accum_update_sq", p.accum_update_sq))
+        """Ordered (name, array) pairs covering the state recognition reads:
+        parameter values, then BN running statistics; no optimizer state."""
+        entries = [(p.name, p.value.data) for p in self.params()]
         for m in self.batchnorms:
             entries.append((m.name + ".running_mean", m.running_mean))
             entries.append((m.name + ".running_var", m.running_var))

@@ -87,6 +87,40 @@ def test_round_trip_preserves_state_and_predictions(tmp_path):
     assert res.model.recognize(images) == loaded.recognize(images)
 
 
+def test_checkpoint_holds_values_and_statistics_but_no_accumulators(tmp_path):
+    """After two steps every accumulator is non-zero somewhere, yet the file
+    names none: its payload is exactly the parameter values and the running
+    statistics, and a load leaves the accumulators zero, as a fresh build does."""
+    path = tmp_path / "m.ckpt"
+    res = train(tiny_cfg(epochs=2), out_path=str(path))
+    params, bns = res.model.params(), res.model.batchnorms
+    assert all(p.accum_grad_sq.any() or p.accum_update_sq.any() for p in params)
+    data = path.read_bytes()
+    (mlen,) = struct.unpack("<I", data[5:9])
+    names = [t["name"] for t in json.loads(data[9:9 + mlen])["tensors"]]
+    assert not [n for n in names if ".accum_" in n]
+    values = sum(p.value.data.nbytes for p in params)
+    statistics = sum(m.running_mean.nbytes + m.running_var.nbytes for m in bns)
+    assert len(data) - 9 - mlen == values + statistics
+
+    loaded, _ = load_checkpoint(path)
+    for p, q in zip(params, loaded.params()):
+        assert p.name == q.name and p.value.data.tobytes() == q.value.data.tobytes(), p.name
+        assert not q.accum_grad_sq.any() and not q.accum_update_sq.any(), q.name
+    for m, n in zip(bns, loaded.batchnorms):
+        assert m.running_mean.tobytes() == n.running_mean.tobytes(), m.name
+        assert m.running_var.tobytes() == n.running_var.tobytes(), m.name
+
+
+def test_save_refuses_a_model_no_load_can_build(tmp_path):
+    """A load builds at the size `preprocess` produces, so a model built for
+    another input size is refused before any file is opened."""
+    path = tmp_path / "small.ckpt"
+    with pytest.raises(CheckpointError, match="32x128.*8x16"):
+        save_checkpoint(path, TextRecognizer(tiny_cfg(), input_hw=(8, 16)))
+    assert os.listdir(tmp_path) == []
+
+
 def test_rejects_bad_magic(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b"NOPE" + bytes(16))

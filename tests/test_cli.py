@@ -373,6 +373,21 @@ def test_a_manifest_with_a_negative_seed_names_its_line(workdir, tmp_path, capsy
     assert capsys.readouterr().err == f"error: {path}:1: seed must be >= 0\n"
 
 
+def test_a_version_1_checkpoint_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "old.ckpt"
+    save_checkpoint(path, TextRecognizer(ModelConfig(**TINY)))
+    data = bytearray(path.read_bytes())
+    data[4] = 1
+    path.write_bytes(bytes(data))
+    pgm = tmp_path / "word.pgm"
+    write_pgm(pgm, np.random.default_rng(0).uniform(0, 1, (16, 40)))
+    assert main(["infer", "--checkpoint", str(path), "--image", str(pgm)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "unsupported version 1, expected 2" in err
+
+
 def test_malformed_manifest_is_runtime_error(tmp_path, capsys):
     path = tmp_path / "m.ckpt"
     blob = json.dumps({"config": ModelConfig(**TINY).to_dict()}).encode("utf-8")

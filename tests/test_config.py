@@ -71,6 +71,7 @@ def test_validation_errors():
         (dict(vab_convs=9), "vab_convs"),
         (dict(train_samples=0), "train_samples"),
         (dict(max_steps=0), "max_steps"),
+        (dict(channels=0), "^channels must be >= 1"),
         (dict(channels="8"), "channels must be int"),
         (dict(channels=8.0), "channels must be int"),
         (dict(epochs=True), "epochs must be int"),

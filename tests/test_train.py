@@ -54,6 +54,41 @@ def test_training_runs_are_bit_identical():
         np.testing.assert_array_equal(a1, a2)
 
 
+def test_training_runs_replay_the_optimizer_bit_for_bit():
+    """Checkpoints hold no ADADELTA state, so the replay of the optimizer is
+    checked on the live models: both accumulators match byte for byte."""
+    m1, m2 = (train(tiny_cfg(epochs=2)).model for _ in range(2))
+    for p, q in zip(m1.params(), m2.params()):
+        assert p.name == q.name
+        assert p.accum_grad_sq.tobytes() == q.accum_grad_sq.tobytes(), p.name
+        assert p.accum_update_sq.tobytes() == q.accum_update_sq.tobytes(), p.name
+
+
+def accumulator_dtypes(model):
+    return {a.dtype for p in model.params() for a in (p.accum_grad_sq, p.accum_update_sq)}
+
+
+def test_f64_training_keeps_both_accumulators_f64():
+    """An in-place `+=` keeps its target's width, so an f64 model must be built
+    with f64 accumulators and keep them f64 through a training step."""
+    assert accumulator_dtypes(TextRecognizer(tiny_cfg(precision="f64"))) == {np.dtype(np.float64)}
+    model = train(tiny_cfg(precision="f64")).model
+    assert accumulator_dtypes(model) == {np.dtype(np.float64)}
+    assert all(p.accum_grad_sq.any() or p.accum_update_sq.any() for p in model.params())
+
+
+def test_recognize_and_evaluate_leave_the_accumulators():
+    cfg = tiny_cfg(epochs=2)
+    model = train(cfg).model
+    before = [(p.accum_grad_sq.tobytes(), p.accum_update_sq.tobytes())
+              for p in model.params()]
+    model.recognize(Tensor(np.random.default_rng(0).uniform(-1, 1, (3, 3, 32, 128))))
+    evaluate(model, dataset_from_config(cfg, count=4), transform="r_padded")
+    after = [(p.accum_grad_sq.tobytes(), p.accum_update_sq.tobytes())
+             for p in model.params()]
+    assert after == before
+
+
 def test_metrics_carry_the_schedule():
     res = train(tiny_cfg(epochs=5))
     assert [m["step"] for m in res.metrics] == [1, 2, 3, 4, 5]
