@@ -337,8 +337,14 @@ def write_pgm(path, gray):
         f.write(arr)
 
 
+# preprocess resizes with dense matrices, 1 KiB per column of a 1-pixel-high
+# strip; a default-config render is under 250 pixels wide
+MAX_PGM_SIDE = 4096
+
+
 def read_pgm(path):
-    """Read a binary PGM (P5) into a (3, h, w) float array in [0, 1]."""
+    """Read a binary PGM (P5) into a (3, h, w) float array in [0, 1]. A side
+    over MAX_PGM_SIDE is refused from the header, before any pixel is decoded."""
     with open(path, "rb") as f:
         data = f.read()
     fields = []
@@ -366,6 +372,8 @@ def read_pgm(path):
         raise ValueError(f"{path}: only maxval 255 is supported")
     if w < 1 or h < 1:
         raise ValueError(f"{path}: image is {w}x{h}, need at least 1x1")
+    if w > MAX_PGM_SIDE or h > MAX_PGM_SIDE:
+        raise ValueError(f"{path}: image is {w}x{h}, at most {MAX_PGM_SIDE} pixels a side")
     pos += 1  # single whitespace byte after maxval
     pixels = np.frombuffer(data[pos:pos + h * w], dtype=np.uint8)
     if pixels.size != h * w:

@@ -208,12 +208,12 @@ class Encoder(Module):
             raise ValueError(f"stem: input dims must be even, got {h}x{w}")
         return self.stem(images)
 
-    def forward_scales(self, x):
-        """Run the staged pipeline on stem output; returns one tensor per scale."""
+    def forward(self, images):
+        """Run the stem, then the staged pipeline; returns one tensor per scale."""
         k = self.cfg.num_scales
         feats = [None] * k
         branch_out = [None] * k
-        feats[0] = x
+        feats[0] = self.stem_forward(images)
         for stage in range(1, k + 1):
             for i in range(stage):
                 feats[i] = self.rs[i][stage - 1 - i](feats[i])
@@ -224,6 +224,3 @@ class Encoder(Module):
                 feats[stage] = self.transitions[stage - 1](feats[stage - 1])
         return tuple(ops.concat([feats[i], branch_out[i]], axis=1)
                      for i in range(k))
-
-    def forward(self, images):
-        return self.forward_scales(self.stem_forward(images))

@@ -2,7 +2,9 @@
 
 Layers register their parameters and sub-layers explicitly, in construction
 order, so parameter lists, checkpoints, and seeded initialization are all
-deterministic.
+deterministic. Their forwards hand their arrays to the ops and compute
+nothing themselves: a conv/BN pair calls `ops.conv_bn`, which decides
+between the taped node and the inference fold.
 """
 
 from contextlib import contextmanager
@@ -10,7 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import ops
-from .tensor import Parameter, Tensor, active_tape
+from .tensor import Parameter, active_tape
 
 
 def glorot_uniform(rng, shape, fan_in, fan_out):
@@ -129,36 +131,11 @@ class BatchNorm2d(Module):
 
 
 def conv_bn(conv, bn, x, relu=False):
-    """bn(conv(x)), then relu when asked: one fused node under a tape, the
-    batch norm folded into the convolution with none.
-
-    The tape alone decides between training and inference arithmetic. Under
-    a tape the pair records one `ops.conv_bn` node in the calling module's
-    scope; the batch norm's mode picks batch statistics (train) or running
-    ones (eval). It rounds exactly as the separate conv2d, batchnorm2d and
-    relu ops. With no tape the pair is inference whatever `bn.training`
-    says, and writes nothing: batch norm is the per-channel affine map y =
-    k * (z - mean) + beta with k = gamma / sqrt(running_var + BN_EPS), so the
-    pair is one conv with weight W * k and bias (b - mean) * k + beta, and
-    the relu clamps that conv's fresh output in place: the same values as
-    `ops.relu`, with no relu op and no second buffer. The fold is rebuilt
-    from the current arrays on every call, so it never goes stale. It rounds
-    differently from the taped form (about 1e-6 of the largest feature in
-    float32).
-    """
-    if active_tape() is not None:
-        return ops.conv_bn(x, conv.weight.value, conv.bias.value, bn.gamma.value,
-                           bn.beta.value, bn.running_mean, bn.running_var,
-                           stride=conv.stride, padding=conv.padding, training=bn.training,
-                           relu=relu)
-    w = conv.weight.value.data
-    k = bn.gamma.value.data / np.sqrt(bn.running_var + ops.BN_EPS)
-    bias = (conv.bias.value.data - bn.running_mean) * k + bn.beta.value.data
-    y = ops.conv2d(x, Tensor(w * k[:, None, None, None], dtype=w.dtype),
-                   Tensor(bias, dtype=w.dtype), stride=conv.stride, padding=conv.padding)
-    if relu:  # y is the conv's own fresh output: no other array can see the write
-        np.maximum(y.data, 0, out=y.data)
-    return y
+    """`ops.conv_bn` over a conv's and its batch norm's arrays, in the batch
+    norm's mode: the op decides between the taped node and the fold."""
+    return ops.conv_bn(x, conv.weight.value, conv.bias.value, bn.gamma.value, bn.beta.value,
+                       bn.running_mean, bn.running_var, stride=conv.stride,
+                       padding=conv.padding, training=bn.training, relu=relu)
 
 
 class ConvBNReLU(Module):

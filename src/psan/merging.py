@@ -8,20 +8,19 @@ step t row feeds the decoder at step t.
 """
 
 from . import ops
-from .layers import BatchNorm2d, Conv2d, Module, conv_bn
+from .layers import ConvBNReLU, conv_bn
 
 
-class MergingHead(Module):
+class MergingHead(ConvBNReLU):
+    """The 3x3 conv+BN+ReLU block over the concatenated, pooled scales."""
+
     def __init__(self, name, in_channels, max_length, rng):
         """in_channels: per-scale channel counts, shallowest first."""
-        super().__init__(name)
         if max_length < 2:
             raise ValueError(f"max_length must be >= 2, got {max_length}")
+        super().__init__(name, sum(in_channels), max_length, 3, rng, padding=1)
         self.max_length = max_length
         self.num_scales = len(in_channels)
-        self.conv = self.child(Conv2d(f"{name}.conv", sum(in_channels), max_length, 3,
-                                      rng, padding=1))
-        self.bn = self.child(BatchNorm2d(f"{name}.bn", max_length))
 
     def forward(self, feats):
         if len(feats) != self.num_scales:

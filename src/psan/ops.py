@@ -22,7 +22,8 @@ and the composed forms live in the test suite as their references:
 conv/BN pair of a model records under a tape (conv2d and batchnorm2d share
 its code); and a GRU step. A `conv_bn` node keeps the normalized x_hat for
 backward unless its kernel is 1x1: then backward rebuilds x_hat from the
-input it keeps anyway, with one GEMM and the same roundings.
+input it keeps anyway, with one GEMM and the same roundings. With no tape
+open `conv_bn` is one `conv2d` with the batch norm folded in, in either mode.
 Input checks format their error message only when they fail, so a passing
 check costs one call, not one string per op call.
 """
@@ -311,60 +312,69 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, training=True):
     return record("batchnorm2d", (x, gamma, beta), out, bwd)
 
 
-def _conv_bn_backward(g, out, xhat, invstd, x, weight, bias, gamma, beta, stride, padding,
-                      training, relu):
-    """conv_bn's rule from the output gradient g and the (N, C_out, L) x_hat:
-    the relu mask, then batch-norm backward, then conv backward."""
-    if relu:
-        g = g * (out.data > 0)
-    gz = _bn_backward(g.reshape(xhat.shape), xhat, invstd, gamma, beta, training,
-                      x.requires_grad or weight.requires_grad or bias.requires_grad)
-    if gz is not None:
-        _conv_backward(x, weight, bias, gz.reshape(g.shape), stride, padding)
-
-
 def conv_bn(x, weight, bias, gamma, beta, running_mean, running_var, stride=1, padding=0,
             training=True, relu=False):
-    """batchnorm2d(conv2d(x)), then relu when asked, as one tape node.
+    """batchnorm2d(conv2d(x)), then relu when asked: one tape node under a
+    tape, one folded conv2d with none.
 
-    It runs the conv2d and batchnorm2d code itself, writes the batch norm's
-    output into the dead conv output, and clamps that buffer in place for
-    the relu; the relu's kink margin goes to `tape.margins` as `relu`
-    reports it. So a node keeps no conv output, no column matrix (backward
-    rebuilds it from x) and no pre-relu values. Besides its output, a node
-    with a 3x3 or strided kernel keeps x_hat. A 1x1, stride-1, unpadded
-    node keeps only the per-channel mean and invstd it normalized with:
-    backward runs the conv's one GEMM on x again and rebuilds x_hat with
-    forward's two roundings, (z - mean) * invstd. Backward then multiplies
-    by the exact 0/1 relu mask, runs batch-norm backward from x_hat, then
-    conv backward. Without the relu, backward never reads the output, so a
-    caller may write over it once nothing else reads it (see
-    `ResidualUnit.forward`). Every value rounds as in the three-op tape,
-    and the node stands where that tape's last node stood, so shared inputs
-    receive their gradient contributions in the same order.
+    With no tape the pair is inference whatever `training` says and writes
+    nothing: batch norm is the per-channel affine map k * (z - mean) + beta
+    with k = gamma / sqrt(running_var + BN_EPS), so the pair is one `conv2d`
+    with weight W * k and bias (b - mean) * k + beta, rebuilt from the
+    current arrays on every call, and the relu clamps that conv's fresh
+    output in place. It rounds differently from the taped form (about 1e-6
+    of the largest feature in float32).
+
+    Under a tape `training` picks batch statistics (folded into the running
+    ones in place) or running ones. The node runs the conv2d and batchnorm2d
+    code, writes the batch norm's output into the dead conv output and
+    clamps it in place for the relu, whose kink margin goes to
+    `tape.margins` as `relu` reports it; it keeps no conv output, column
+    matrix or pre-relu values. Besides its output, a 3x3 or strided node
+    keeps x_hat; a 1x1, stride-1, unpadded node keeps the per-channel mean
+    and invstd instead, and backward rebuilds x_hat from x with the conv's
+    one GEMM and forward's two roundings, (z - mean) * invstd. Backward
+    applies the exact 0/1 relu mask, then batch-norm and conv backward.
+    Without the relu it never reads the output, so a caller may write over
+    it once nothing else reads it (see `ResidualUnit.forward`). Every value
+    rounds as in the three-op tape, and the node stands where that tape's
+    last node stood, so shared inputs receive their gradient contributions
+    in the same order.
     """
+    tape = active_tape()
+    if tape is None:
+        w = weight.data
+        k = gamma.data / np.sqrt(running_var + BN_EPS)
+        y = conv2d(x, Tensor(w * k[:, None, None, None], dtype=w.dtype),
+                   Tensor((bias.data - running_mean) * k + beta.data, dtype=w.dtype),
+                   stride=stride, padding=padding)
+        if relu:  # y is the conv's own fresh output: no other array can see the write
+            np.maximum(y.data, 0, out=y.data)
+        return y
     h_out, w_out = _conv_geometry(x, weight, bias, stride, padding)
     n, c_out = x.shape[0], weight.shape[0]
     z = _conv_forward(x.data, weight.data, bias.data, stride, padding, h_out, w_out)
     y, xhat, invstd, mean = _bn_forward(z, gamma, beta, running_mean, running_var, training,
                                         out=z)
     if relu:
-        tape = active_tape()
-        if tape is not None and tape.margins is not None:
+        if tape.margins is not None:
             tape.margins.append(float(np.abs(y).min()))
         np.maximum(y, 0, out=y)
     out = Tensor(y.reshape(n, c_out, h_out, w_out), dtype=x.data.dtype)
+    rebuild = weight.shape[2:] == (1, 1) and stride == 1 and padding == 0
+    xhat, mean = (None, mean) if rebuild else (xhat, None)  # a 1x1 node keeps mean, not x_hat
 
-    if weight.shape[2:] == (1, 1) and stride == 1 and padding == 0:
-        def bwd(g):  # x_hat again, from one GEMM on x; no x_hat is kept
+    def bwd(g):  # shapes come from g, so the closure keeps few cells
+        xh = xhat
+        if xh is None:
             xh = _conv_forward(x.data, weight.data, bias.data, 1, 0, *g.shape[2:]) - mean[:, None]
             xh *= invstd[:, None]
-            _conv_bn_backward(g, out, xh, invstd, x, weight, bias, gamma, beta, 1, 0,
-                              training, relu)
-    else:
-        def bwd(g):  # shapes come from g and xhat, so the closure keeps few cells
-            _conv_bn_backward(g, out, xhat, invstd, x, weight, bias, gamma, beta, stride,
-                              padding, training, relu)
+        if relu:
+            g = g * (out.data > 0)
+        gz = _bn_backward(g.reshape(xh.shape), xh, invstd, gamma, beta, training,
+                          x.requires_grad or weight.requires_grad or bias.requires_grad)
+        if gz is not None:
+            _conv_backward(x, weight, bias, gz.reshape(g.shape), stride, padding)
 
     return record("conv_bn", (x, weight, bias, gamma, beta), out, bwd)
 

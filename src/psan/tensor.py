@@ -283,8 +283,8 @@ def _require(cond, msg, *args):
 
 
 def _check_same_shape(a, b, op):
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"{op}: shape mismatch {a.data.shape} vs {b.data.shape}")
+    _require(a.data.shape == b.data.shape, "{}: shape mismatch {} vs {}",
+             op, a.data.shape, b.data.shape)
 
 
 def _check_out(out, x, op):

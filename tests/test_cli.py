@@ -161,6 +161,15 @@ def test_infer_on_an_empty_pgm_is_one_error_line(workdir, tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_infer_on_an_oversized_pgm_is_one_error_line(workdir, tmp_path, capsys):
+    pgm = tmp_path / "strip.pgm"
+    pgm.write_bytes(b"P5\n4097 1\n255\n" + bytes(4097))
+    assert main(["infer", "--checkpoint", workdir["ckpt"], "--image", str(pgm)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {pgm}: image is 4097x1, at most 4096 pixels a side\n"
+
+
 def test_manifests_render_with_the_config_options(tmp_path, monkeypatch):
     """gen-data exports, and every command reading a manifest, render with
     the config's noise and shear, not the RenderOptions defaults."""

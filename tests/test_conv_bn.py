@@ -288,6 +288,42 @@ def test_untaped_fold_is_the_folded_conv_and_writes_nothing_it_reads(case, relu,
     assert [a.tobytes() for a in arrays] == before
 
 
+@pytest.mark.parametrize("mode", ["f32", "f64"])
+@pytest.mark.parametrize("relu", [True, False], ids=["relu", "no relu"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_untaped_op_is_the_fold_even_in_train_mode(case, relu, mode, monkeypatch):
+    """With no tape, `ops.conv_bn(..., training=True)` is inference: the bytes
+    of the folded conv2d (relu'd when asked), no running statistic or input
+    written, and no node of its own, though every input tracks gradients."""
+    c_in, c_out, k, stride, padding, shape = CASES[case]
+    dtype = DTYPES[mode]
+    rng = np.random.default_rng(9)
+    leaf = lambda a: Tensor(a, requires_grad=True, dtype=dtype)
+    x = leaf(rng.standard_normal(shape))
+    w = leaf(rng.normal(0.0, 0.4, (c_out, c_in, k, k)))
+    b = leaf(rng.normal(0.0, 0.2, c_out))
+    gamma = leaf(rng.uniform(0.5, 1.5, c_out))
+    beta = leaf(rng.normal(0.0, 0.3, c_out))
+    rm = rng.normal(0.0, 0.5, c_out).astype(dtype)
+    rv = rng.uniform(0.3, 2.0, c_out).astype(dtype)
+    scale = gamma.data / np.sqrt(rv + ops.BN_EPS)
+    want = ops.conv2d(x, Tensor(w.data * scale[:, None, None, None], dtype=dtype),
+                      Tensor((b.data - rm) * scale + beta.data, dtype=dtype),
+                      stride=stride, padding=padding).data
+    want = np.maximum(want, 0) if relu else want
+    arrays = [rm, rv] + [t.data for t in (x, w, b, gamma, beta)]
+    before = [a.tobytes() for a in arrays]
+    recorded = []
+    record = ops.record
+    monkeypatch.setattr(ops, "record", lambda op, *args: (recorded.append(op), record(op, *args))[1])
+    got = ops.conv_bn(x, w, b, gamma, beta, rm, rv, stride=stride, padding=padding,
+                      training=True, relu=relu)
+    assert got.data.dtype == want.dtype and got.shape == want.shape
+    assert got.data.tobytes() == want.tobytes()
+    assert [a.tobytes() for a in arrays] == before
+    assert recorded == ["conv2d"] and not got.requires_grad
+
+
 @pytest.mark.parametrize("stride", [1, 2])
 def test_a_taped_block_keeps_only_its_output_and_x_hat(stride):
     """After a train-mode forward at a stage-1 shape, no column matrix, conv

@@ -2,6 +2,7 @@
 robustness transforms, dataset reproducibility, and PGM file handling."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -368,3 +369,36 @@ def test_pgm_reader_rejects_empty_images(tmp_path, size):
     path.write_bytes(f"P5\n{size}\n255\n".encode("ascii"))
     with pytest.raises(ValueError, match="at least 1x1"):
         read_pgm(path)
+
+
+@pytest.mark.parametrize("size", ["4097 1", "1 4097"])
+def test_pgm_reader_refuses_a_side_over_4096_before_decoding(tmp_path, size):
+    """The header alone decides: the read allocates about the file, no
+    pixel array and no float image."""
+    path = tmp_path / "strip.pgm"
+    path.write_bytes(f"P5\n{size}\n255\n".encode("ascii") + bytes(4097))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as err:
+            read_pgm(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    w, h = size.split()
+    assert str(err.value) == f"{path}: image is {w}x{h}, at most 4096 pixels a side"
+    assert peak <= path.stat().st_size + 64 * 1024, peak
+
+
+def test_a_4096_wide_pgm_decodes_and_preprocesses_in_little_memory(tmp_path):
+    path = tmp_path / "strip.pgm"
+    path.write_bytes(b"P5\n4096 1\n255\n" + bytes(range(256)) * 16)
+    raw = read_pgm(path)
+    assert raw.shape == (3, 1, 4096)
+    tracemalloc.start()
+    try:
+        out = preprocess(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (3, 32, 128)
+    assert peak < 8 << 20, peak

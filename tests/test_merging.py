@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from psan.layers import ConvBNReLU
 from psan.merging import MergingHead
 from psan.tensor import Tape, Tensor
 
@@ -85,3 +86,16 @@ def test_rejects_wrong_scale_count_and_misaligned_dims():
 def test_rejects_tiny_max_length():
     with pytest.raises(ValueError, match="max_length"):
         MergingHead("mh", [4], 1, np.random.default_rng(7))
+
+
+def test_merging_head_is_its_conv_bn_relu_block():
+    """The head's conv-BN pair is the block itself: paths, parameter names
+    and draws are those of a `ConvBNReLU` built with the same generator."""
+    mh = MergingHead("mh", [4, 8], 5, np.random.default_rng(3))
+    blk = ConvBNReLU("mh", 12, 5, 3, np.random.default_rng(3), padding=1)
+    assert isinstance(mh, ConvBNReLU)
+    assert [m.name for m in mh.modules()] == ["mh", "mh.conv", "mh.bn"]
+    assert [p.name for p in mh.params()] == [p.name for p in blk.params()]
+    for p, q in zip(mh.params(), blk.params()):
+        assert p.value.data.tobytes() == q.value.data.tobytes()
+    assert (mh.conv.stride, mh.conv.padding) == (1, 1)
