@@ -10,6 +10,12 @@ from .decoder import DEFAULT_CHARSET
 from .encoder import EncoderConfig
 
 
+# upper bounds checked before any array is built: with num_scales,
+# rus_per_rs and vab_convs at their own bounds too, the largest model they
+# admit has 53,655,523 parameters (215 MB in float32)
+SIZE_BOUNDS = {"channels": 64, "max_length": 128, "hidden_size": 1024, "embedding_dim": 1024}
+
+
 @dataclass
 class ModelConfig:
     # architecture
@@ -51,6 +57,9 @@ class ModelConfig:
             raise ValueError(f"max_length must be >= 2, got {self.max_length}")
         if self.hidden_size < 1 or self.embedding_dim < 1:
             raise ValueError("hidden_size and embedding_dim must be >= 1")
+        for name, bound in SIZE_BOUNDS.items():
+            if getattr(self, name) > bound:
+                raise ValueError(f"{name} must be at most {bound}, got {getattr(self, name)}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:

@@ -125,7 +125,7 @@ def resize_bilinear(img, out_h, out_w):
     c, h, w = img.shape
     mh = interp_matrix(h, out_h, np.float64)
     mw = interp_matrix(w, out_w, np.float64)
-    return np.matmul(mh, np.matmul(img.astype(np.float64), mw.T))
+    return np.matmul(mh, np.matmul(img.astype(np.float64, copy=False), mw.T))
 
 
 def preprocess(img):
@@ -340,13 +340,14 @@ def write_pgm(path, gray):
 # preprocess resizes with dense matrices, 1 KiB per column of a 1-pixel-high
 # strip; a default-config render is under 250 pixels wide
 MAX_PGM_SIDE = 4096
+MAX_PGM_HEADER = 4096  # bytes of magic, sizes, maxval and comments
 
 
-def read_pgm(path):
-    """Read a binary PGM (P5) into a (3, h, w) float array in [0, 1]. A side
-    over MAX_PGM_SIDE is refused from the header, before any pixel is decoded."""
-    with open(path, "rb") as f:
-        data = f.read()
+def _pgm_header(path, data):
+    """(w, h, raster offset) of the binary PGM whose first bytes are `data`,
+    at most MAX_PGM_HEADER of them. A side over MAX_PGM_SIDE is refused."""
+    cut = len(data) == MAX_PGM_HEADER
+    short = f"PGM header longer than {MAX_PGM_HEADER} bytes" if cut else "truncated PGM header"
     fields = []
     pos = 0
     while len(fields) < 4:
@@ -359,8 +360,8 @@ def read_pgm(path):
         start = pos
         while pos < len(data) and not data[pos:pos + 1].isspace():
             pos += 1
-        if start == pos:
-            raise ValueError(f"{path}: truncated PGM header")
+        if start == pos or (cut and pos == len(data)):  # a field cut by the cap may go on
+            raise ValueError(f"{path}: {short}")
         fields.append(data[start:pos])
     if fields[0] != b"P5":
         raise ValueError(f"{path}: not a binary PGM (P5) file")
@@ -374,9 +375,20 @@ def read_pgm(path):
         raise ValueError(f"{path}: image is {w}x{h}, need at least 1x1")
     if w > MAX_PGM_SIDE or h > MAX_PGM_SIDE:
         raise ValueError(f"{path}: image is {w}x{h}, at most {MAX_PGM_SIDE} pixels a side")
-    pos += 1  # single whitespace byte after maxval
-    pixels = np.frombuffer(data[pos:pos + h * w], dtype=np.uint8)
-    if pixels.size != h * w:
-        raise ValueError(f"{path}: truncated pixel data")
-    gray = pixels.reshape(h, w).astype(np.float64) / 255.0
+    return w, h, pos + 1  # single whitespace byte after maxval
+
+
+def read_pgm(path):
+    """Read a binary PGM (P5) into a (3, h, w) float array in [0, 1]. The
+    read is bounded by the header: at most MAX_PGM_HEADER bytes of it, then
+    exactly w*h pixel bytes; a file with bytes after the raster is refused."""
+    with open(path, "rb") as f:
+        w, h, pos = _pgm_header(path, f.read(MAX_PGM_HEADER))
+        f.seek(pos)
+        raster = f.read(h * w)
+        if len(raster) != h * w:
+            raise ValueError(f"{path}: truncated pixel data")
+        if f.read(1):
+            raise ValueError(f"{path}: data after the {w}x{h} pixel raster")
+    gray = np.frombuffer(raster, dtype=np.uint8).reshape(h, w).astype(np.float64) / 255.0
     return np.repeat(gray[None], 3, axis=0)

@@ -6,13 +6,15 @@ of the op's primary input: its first tensor, the table for `embedding`,
 `h_prev` for `gru_cell`. Convolution is a batched
 matmul over a column matrix: the input itself for a 1x1 kernel, otherwise
 one strided copy of a window view over a zero-padded copy of the input
-(flat for same-size stride-1 kernels, 2-d for the rest). Every kernel
-builds its columns a few samples at a time, as many as fit _COLUMN_BYTES,
-and runs the matmul on each slice while its columns are still in cache;
-each sample is the same GEMM call whatever the slicing, so the bits do not
-depend on the budget. Backward rebuilds the columns from the input, slice
-by slice, for the weight gradient instead of keeping them. The naive direct
-form and the per-offset strided windows live in the test suite as oracles.
+(flat for same-size stride-1 kernels on multi-sample slices, 2-d for the
+rest). A batch whose columns fit _COLUMN_BYTES, or of one sample, is one
+matmul; a larger one builds its columns a few samples at a time, as many
+as fit, and runs the matmul on each slice while its columns are still in
+cache. Each sample is the same GEMM call on the same values whatever the
+slicing, so the bits do not depend on the budget. Backward rebuilds the
+columns from the input, slice by slice, for the weight gradient instead of
+keeping them. The naive direct form and the per-offset strided windows
+live in the test suite as oracles.
 Max pooling, taped or not, reads one strided view per window offset and
 keeps no indices; the window-copy argmax form is its test reference.
 
@@ -89,16 +91,17 @@ def _columns(xd, kh, kw, stride, padding, h_out, w_out):
     single batched matmul. A 1x1 kernel reads the input itself. Every other
     kernel copies the input once into a zero-padded buffer and then the
     columns once out of a strided window view of that buffer. For a
-    same-size stride-1 kernel the buffer is the flattened input with
-    p*W + p zeros on each side, so offset (i, j) reads the contiguous run
-    starting at i*W + j, and only the columns whose read wraps across a row
-    end are zeroed after the copy. Otherwise the buffer is the 2-d padded
+    same-size stride-1 kernel over more than one sample the buffer is the
+    flattened input with p*W + p zeros on each side, so offset (i, j) reads
+    the contiguous run starting at i*W + j, and only the columns whose read
+    wraps across a row end are zeroed after the copy: that pays for itself
+    only on multi-sample slices. Otherwise the buffer is the 2-d padded
     input, and offset (i, j) reads every stride-th pixel from (i, j).
     np.ndarray refuses a view that reaches past its buffer.
     """
     n, c_in, h, w = xd.shape
     l = h_out * w_out
-    if stride == 1 and kh == kw == 2 * padding + 1:
+    if stride == 1 and kh == kw == 2 * padding + 1 and (kh == 1 or n > 1):
         if kh == 1:
             return xd.reshape(n, c_in, l)  # a view: nothing copied
         pad = padding * w + padding
@@ -132,16 +135,21 @@ def _chunks(n, row_bytes):
 def _conv_forward(xd, wd, bd, stride, padding, h_out, w_out):
     """Convolution of arrays as an (N, C_out, L) array.
 
-    The batch runs in slices whose column matrix fits _COLUMN_BYTES: each
-    slice builds its columns, multiplies the weight over them into its rows
-    of the output and adds the bias while those rows are still in cache.
-    Every sample is the same GEMM call on the same values whatever the
-    slicing, so the output is bit-for-bit that of one whole-batch matmul.
+    A batch whose column matrix fits _COLUMN_BYTES, or of one sample, is one
+    matmul into a fresh output. A larger batch runs in slices that fit:
+    each slice builds its columns, multiplies the weight over them into its
+    rows of the output and adds the bias while those rows are still in
+    cache. Every sample is the same GEMM call on the same values whatever
+    the slicing, so the output is bit-for-bit that of one whole-batch matmul.
     """
     n = xd.shape[0]
     c_out, c_in, kh, kw = wd.shape
     k, l = c_in * kh * kw, h_out * w_out
     wmat = wd.reshape(c_out, k)[None]
+    if n == 1 or n * k * l * xd.itemsize <= _COLUMN_BYTES:  # one slice: no views, no loop
+        out = np.matmul(wmat, _columns(xd, kh, kw, stride, padding, h_out, w_out))
+        out += bd[:, None]
+        return out
     out = np.empty((n, c_out, l), dtype=np.result_type(wd, xd))
     for s, e in _chunks(n, k * l * xd.itemsize):
         np.matmul(wmat, _columns(xd[s:e], kh, kw, stride, padding, h_out, w_out), out=out[s:e])

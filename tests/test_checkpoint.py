@@ -415,3 +415,20 @@ def test_load_holds_little_beyond_its_parsed_manifest(tmp_path):
     size = path.stat().st_size
     assert peak - held < parse + size / 64, (peak - held, parse, size)
     assert cfg == loaded.cfg == ModelConfig()
+
+
+@pytest.mark.parametrize("field,value", [("hidden_size", 10 ** 7), ("max_length", 10 ** 9),
+                                         ("channels", 10 ** 7), ("embedding_dim", 10 ** 7)])
+def test_rejects_an_oversized_size_field_before_building_a_model(tmp_path, monkeypatch,
+                                                                 field, value):
+    path = tmp_path / "base.ckpt"
+    save_checkpoint(path, messy_model())
+    crafted = tmp_path / "size.ckpt"
+    rewrite_manifest(path, crafted, lambda m: m["config"].update({field: value}))
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("load_checkpoint built a model")
+
+    monkeypatch.setattr("psan.checkpoint.TextRecognizer", no_build)
+    with pytest.raises(ValueError, match=f"^{field} must be at most \\d+, got {value}$"):
+        load_checkpoint(crafted)

@@ -430,3 +430,22 @@ def test_precision_env_overrides_the_train_config(monkeypatch, workdir, tmp_path
     ModelConfig(**TINY, precision="f64").save(cfg64)
     assert main(["train", "--config", str(cfg64), "--out", str(ckpt)]) == 0
     assert load_checkpoint(ckpt)[1].precision == "f32"
+
+
+def test_infer_on_a_pgm_with_a_tail_is_one_error_line(workdir, tmp_path, capsys):
+    pgm = tmp_path / "tail.pgm"
+    pgm.write_bytes(b"P5\n16 2\n255\n" + bytes(33))
+    assert main(["infer", "--checkpoint", workdir["ckpt"], "--image", str(pgm)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {pgm}: data after the 16x2 pixel raster\n"
+
+
+def test_train_refuses_oversized_channels_with_the_bound(tmp_path, capsys):
+    """The size bound fails validation, so the message is the bound's, not
+    numpy's failed allocation."""
+    ckpt = tmp_path / "big.ckpt"
+    assert main(["train", "--channels", "100000", "--out", str(ckpt)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: channels must be at most 64, got 100000\n"
+    assert not ckpt.exists()

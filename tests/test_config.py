@@ -86,3 +86,12 @@ def test_validation_errors():
     for kw, msg in cases:
         with pytest.raises(ValueError, match=msg):
             ModelConfig(**kw).validate()
+
+
+def test_size_bounds_admit_their_own_value_and_refuse_the_next():
+    at_bounds = dict(channels=64, max_length=128, hidden_size=1024, embedding_dim=1024)
+    ModelConfig(**at_bounds).validate()
+    for name, bound in at_bounds.items():
+        with pytest.raises(ValueError) as err:
+            ModelConfig(**{name: bound + 1}).validate()
+        assert str(err.value) == f"{name} must be at most {bound}, got {bound + 1}"

@@ -402,3 +402,35 @@ def test_a_4096_wide_pgm_decodes_and_preprocesses_in_little_memory(tmp_path):
         tracemalloc.stop()
     assert out.shape == (3, 32, 128)
     assert peak < 8 << 20, peak
+
+
+def test_pgm_reader_refuses_bytes_after_the_raster_in_little_memory(tmp_path):
+    """The read stops at the header's w*h pixel bytes: a 16x2 PGM followed
+    by 50 MiB fails without reading its tail."""
+    path = tmp_path / "tail.pgm"
+    with open(path, "wb") as f:
+        f.write(b"P5\n16 2\n255\n" + bytes(32))
+        f.truncate(f.tell() + (50 << 20))  # a sparse 50 MiB tail
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as err:
+            read_pgm(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == f"{path}: data after the 16x2 pixel raster"
+    assert peak < 1 << 20, peak
+
+
+def test_pgm_reader_caps_the_header_and_reads_rasters_past_it(tmp_path):
+    long = tmp_path / "long.pgm"
+    long.write_bytes(b"P5\n#" + b"x" * 5000 + b"\n3 2\n255\n" + bytes(6))
+    with pytest.raises(ValueError) as err:
+        read_pgm(long)
+    assert str(err.value) == f"{long}: PGM header longer than 4096 bytes"
+    # a header that ends inside the first 4096 bytes, its raster well past them
+    rng = np.random.default_rng(9)
+    gray = rng.integers(0, 256, (100, 200)).astype(np.float64) / 255.0
+    big = tmp_path / "big.pgm"
+    write_pgm(big, gray)
+    np.testing.assert_allclose(read_pgm(big)[0], gray, atol=1e-12)

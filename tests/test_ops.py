@@ -14,8 +14,9 @@ import pytest
 
 from psan import ops
 from psan.config import ModelConfig
+from psan.data import preprocess, render_word
 from psan.layers import GRUCell
-from psan.model import TextRecognizer
+from psan.model import TextRecognizer, stack_images
 from psan.tensor import Tape, Tensor, backward, mul, sum_all
 
 
@@ -735,3 +736,36 @@ def test_checks_format_their_message_only_on_failure():
                      GRUCell("gru", 4, 2, np.random.default_rng(0)).weights())
     assert str(err.value) == ("gru_cell: weights (4, 2), (2, 2), (2,) do not fit "
                               "input (1, 3) and hidden (1, 2)")
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_one_sample_columns_are_byte_equal_to_the_strided_windows(dtype):
+    """A one-sample slice takes its own column layout; it copies exactly the
+    values of the strided windows at every default-model shape and edge case."""
+    rng = np.random.default_rng(10)
+    for c, h, w, k, stride, padding in default_model_convs() + EDGE_CONVS:
+        x = rng.standard_normal((1, c, h, w)).astype(dtype)
+        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        ho = (h + 2 * padding - k) // stride + 1
+        wo = (w + 2 * padding - k) // stride + 1
+        got = ops._columns(x, k, k, stride, padding, ho, wo)
+        want = strided_windows(xp, k, k, stride, ho, wo)
+        case = (c, h, w, k, stride, padding)
+        assert got.dtype == want.dtype and got.shape == want.shape, case
+        assert got.tobytes() == want.tobytes(), case
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_untaped_features_are_batch_invariant(precision):
+    """Each of 16 images recognized alone yields, byte for byte, its row of
+    the batch-16 features: one-slice, one-sample and multi-sample column
+    paths all give the same values."""
+    model = TextRecognizer(ModelConfig(precision=precision))
+    words = ["psan", "scene", "text", "a1", "b2c3", "zz", "recognize", "q",
+             "mnop", "x9y", "deep", "net", "attn", "fuse", "gru", "wxyz"]
+    images = stack_images([preprocess(render_word(w, i)) for i, w in enumerate(words)])
+    batch = model.features(images).data
+    for i in range(len(words)):
+        alone = model.features(Tensor(images.data[i:i + 1])).data
+        assert alone.dtype == batch.dtype
+        assert alone.tobytes() == batch[i:i + 1].tobytes(), i
