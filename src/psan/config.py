@@ -55,8 +55,9 @@ class ModelConfig:
         self.render_options().validate()
         if self.max_length < 2:
             raise ValueError(f"max_length must be >= 2, got {self.max_length}")
-        if self.hidden_size < 1 or self.embedding_dim < 1:
-            raise ValueError("hidden_size and embedding_dim must be >= 1")
+        for name in ("hidden_size", "embedding_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name, bound in SIZE_BOUNDS.items():
             if getattr(self, name) > bound:
                 raise ValueError(f"{name} must be at most {bound}, got {getattr(self, name)}")

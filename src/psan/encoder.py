@@ -52,11 +52,7 @@ class ResidualUnit(Module):
     def forward(self, x):
         y = conv_bn(self.conv1, self.bn1, x, relu=True)
         y = conv_bn(self.conv2, self.bn2, y, relu=True)
-        y = conv_bn(self.conv3, self.bn3, y)
-        # y is this unit's fresh conv3 output, which no backward rule reads:
-        # one buffer holds it, the sum, and the relu (whose rule reads only it)
-        s = ops.add(y, x, out=y.data)
-        return ops.relu(s, out=s.data)
+        return conv_bn(self.conv3, self.bn3, y, relu=True, skip=x)
 
 
 class ResidualStructure(Module):

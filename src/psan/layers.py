@@ -130,12 +130,12 @@ class BatchNorm2d(Module):
                                self.running_mean, self.running_var, training=self.training)
 
 
-def conv_bn(conv, bn, x, relu=False):
+def conv_bn(conv, bn, x, relu=False, skip=None):
     """`ops.conv_bn` over a conv's and its batch norm's arrays, in the batch
     norm's mode: the op decides between the taped node and the fold."""
     return ops.conv_bn(x, conv.weight.value, conv.bias.value, bn.gamma.value, bn.beta.value,
                        bn.running_mean, bn.running_var, stride=conv.stride,
-                       padding=conv.padding, training=bn.training, relu=relu)
+                       padding=conv.padding, training=bn.training, relu=relu, skip=skip)
 
 
 class ConvBNReLU(Module):

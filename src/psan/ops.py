@@ -20,12 +20,14 @@ keeps no indices; the window-copy argmax form is its test reference.
 
 Two fused nodes round every value as the primitive ops they replace would,
 and the composed forms live in the test suite as their references:
-`conv_bn`, a conv, its batch norm and an optional relu, which every
-conv/BN pair of a model records under a tape (conv2d and batchnorm2d share
-its code); and a GRU step. A `conv_bn` node keeps the normalized x_hat for
-backward unless its kernel is 1x1: then backward rebuilds x_hat from the
-input it keeps anyway, with one GEMM and the same roundings. With no tape
-open `conv_bn` is one `conv2d` with the batch norm folded in, in either mode.
+`conv_bn`, a conv, its batch norm, an optional skip sum and an optional
+relu, which every conv/BN pair of a model records under a tape (conv2d and
+batchnorm2d share its code); and a GRU step. A `conv_bn` node keeps the
+normalized x_hat for backward unless its kernel is 1x1: then backward
+rebuilds x_hat from the input it keeps anyway, with one GEMM and the same
+roundings. With no tape open `conv_bn` is one `conv2d` with the batch norm
+folded in, in either mode, and the skip sum and relu done in place on its
+fresh output. No op writes into an array another tensor holds.
 Input checks format their error message only when they fail, so a passing
 check costs one call, not one string per op call.
 """
@@ -35,7 +37,7 @@ from itertools import islice
 
 import numpy as np
 
-from .tensor import Tensor, _check_out, _require, accumulate_grad, active_tape, record
+from .tensor import Tensor, _require, accumulate_grad, active_tape, record
 from .tensor import add, sub, mul, scale, sum_all  # noqa: F401  (re-exported)
 
 
@@ -321,34 +323,39 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, training=True):
 
 
 def conv_bn(x, weight, bias, gamma, beta, running_mean, running_var, stride=1, padding=0,
-            training=True, relu=False):
-    """batchnorm2d(conv2d(x)), then relu when asked: one tape node under a
-    tape, one folded conv2d with none.
+            training=True, relu=False, skip=None):
+    """batchnorm2d(conv2d(x)), plus `skip` when given, then relu when asked:
+    one tape node under a tape, one folded conv2d with none. `skip` must
+    have the output's shape; the sum rounds as `add` and the relu as `relu`.
 
     With no tape the pair is inference whatever `training` says and writes
     nothing: batch norm is the per-channel affine map k * (z - mean) + beta
     with k = gamma / sqrt(running_var + BN_EPS), so the pair is one `conv2d`
     with weight W * k and bias (b - mean) * k + beta, rebuilt from the
-    current arrays on every call, and the relu clamps that conv's fresh
-    output in place. It rounds differently from the taped form (about 1e-6
-    of the largest feature in float32).
+    current arrays on every call; the skip is added into that conv's fresh
+    output and the relu clamps it in place. It rounds differently from the
+    taped form (about 1e-6 of the largest feature in float32).
 
     Under a tape `training` picks batch statistics (folded into the running
     ones in place) or running ones. The node runs the conv2d and batchnorm2d
-    code, writes the batch norm's output into the dead conv output and
-    clamps it in place for the relu, whose kink margin goes to
-    `tape.margins` as `relu` reports it; it keeps no conv output, column
+    code, writes the batch norm's output into the dead conv output, adds the
+    skip there and clamps it in place for the relu, whose kink margin goes
+    to `tape.margins` as `relu` reports it; it keeps no conv output, column
     matrix or pre-relu values. Besides its output, a 3x3 or strided node
     keeps x_hat; a 1x1, stride-1, unpadded node keeps the per-channel mean
     and invstd instead, and backward rebuilds x_hat from x with the conv's
     one GEMM and forward's two roundings, (z - mean) * invstd. Backward
-    applies the exact 0/1 relu mask, then batch-norm and conv backward.
-    Without the relu it never reads the output, so a caller may write over
-    it once nothing else reads it (see `ResidualUnit.forward`). Every value
-    rounds as in the three-op tape, and the node stands where that tape's
-    last node stood, so shared inputs receive their gradient contributions
-    in the same order.
+    applies the exact 0/1 relu mask, hands that gradient to the skip, then
+    runs batch-norm and conv backward. Without the relu it never reads the
+    output. Every value rounds as in the conv2d, batchnorm2d, add and relu
+    tape, and the node stands where that tape's last node stood, so shared
+    inputs receive their gradient contributions in the same order.
     """
+    if skip is not None:
+        shape = _conv_geometry(x, weight, bias, stride, padding)
+        shape = (x.shape[0], weight.shape[0]) + shape
+        _require(skip.shape == shape, "conv_bn: skip shape {} != output shape {}",
+                 skip.shape, shape)
     tape = active_tape()
     if tape is None:
         w = weight.data
@@ -356,7 +363,10 @@ def conv_bn(x, weight, bias, gamma, beta, running_mean, running_var, stride=1, p
         y = conv2d(x, Tensor(w * k[:, None, None, None], dtype=w.dtype),
                    Tensor((bias.data - running_mean) * k + beta.data, dtype=w.dtype),
                    stride=stride, padding=padding)
-        if relu:  # y is the conv's own fresh output: no other array can see the write
+        # y is the conv's own fresh output: no other array can see the writes
+        if skip is not None:
+            np.add(y.data, skip.data, out=y.data)
+        if relu:
             np.maximum(y.data, 0, out=y.data)
         return y
     h_out, w_out = _conv_geometry(x, weight, bias, stride, padding)
@@ -364,39 +374,41 @@ def conv_bn(x, weight, bias, gamma, beta, running_mean, running_var, stride=1, p
     z = _conv_forward(x.data, weight.data, bias.data, stride, padding, h_out, w_out)
     y, xhat, invstd, mean = _bn_forward(z, gamma, beta, running_mean, running_var, training,
                                         out=z)
+    if skip is not None:
+        y += skip.data.reshape(y.shape)
     if relu:
         if tape.margins is not None:
             tape.margins.append(float(np.abs(y).min()))
         np.maximum(y, 0, out=y)
     out = Tensor(y.reshape(n, c_out, h_out, w_out), dtype=x.data.dtype)
-    rebuild = weight.shape[2:] == (1, 1) and stride == 1 and padding == 0
-    xhat, mean = (None, mean) if rebuild else (xhat, None)  # a 1x1 node keeps mean, not x_hat
+    # a 1x1 node keeps the 1-d mean, any other the 3-d x_hat: one closure cell
+    kept = mean if weight.shape[2:] == (1, 1) and stride == 1 and padding == 0 else xhat
 
     def bwd(g):  # shapes come from g, so the closure keeps few cells
-        xh = xhat
-        if xh is None:
-            xh = _conv_forward(x.data, weight.data, bias.data, 1, 0, *g.shape[2:]) - mean[:, None]
+        xh = kept
+        if xh.ndim == 1:
+            xh = _conv_forward(x.data, weight.data, bias.data, 1, 0, *g.shape[2:]) - kept[:, None]
             xh *= invstd[:, None]
         if relu:
             g = g * (out.data > 0)
+        if skip is not None:
+            accumulate_grad(skip, g)
         gz = _bn_backward(g.reshape(xh.shape), xh, invstd, gamma, beta, training,
                           x.requires_grad or weight.requires_grad or bias.requires_grad)
         if gz is not None:
             _conv_backward(x, weight, bias, gz.reshape(g.shape), stride, padding)
 
-    return record("conv_bn", (x, weight, bias, gamma, beta), out, bwd)
+    inputs = (x, weight, bias, gamma, beta)
+    return record("conv_bn", inputs if skip is None else inputs + (skip,), out, bwd)
 
 
-def relu(x, out=None):
-    """max(x, 0). With `out` the result goes into that array, numpy-style,
-    and the result wraps it; `out` may be x's own array, because backward
-    reads only the output: max(x, 0) > 0 is the same mask as x > 0."""
+def relu(x):
+    """max(x, 0). Backward reads only the output: max(x, 0) > 0 is the same
+    mask as x > 0."""
     tape = active_tape()
     if tape is not None and tape.margins is not None:
         tape.margins.append(float(np.abs(x.data).min()))
-    if out is not None:
-        _check_out(out, x, "relu")
-    out = Tensor(np.maximum(x.data, 0, out=out), dtype=x.data.dtype)
+    out = Tensor(np.maximum(x.data, 0), dtype=x.data.dtype)
 
     def bwd(g):
         accumulate_grad(x, g * (out.data > 0))

@@ -36,16 +36,7 @@ class Tensor:
     `data` is always a C-contiguous numpy array, float32 unless an explicit
     dtype is given. `grad`, set by backward passes, matches `data` in shape
     and dtype and may be shared, so it is replaced, never written.
-    Tensors are write-once values except for optimizer updates on parameters
-    and the `out=` of `add` and `relu`, which writes into an array that may
-    already back another tensor. That is safe only for an array no later op
-    or backward rule reads: `ResidualUnit.forward` reuses its conv3 output,
-    which the relu-free `conv_bn` rule never reads, for the sum and then
-    the relu, whose rule reads only its own output. A `conv_bn` rule reads
-    its input for the weight gradient, and a 1x1 one reads it a second time
-    to rebuild x_hat, so no `out=` may write a conv input later; the
-    `maxpool2d` rule reads its input and output, so no `out=` may write
-    either later.
+    Tensors are write-once values except for optimizer updates on parameters.
     """
 
     __slots__ = ("data", "grad", "requires_grad")
@@ -287,30 +278,13 @@ def _check_same_shape(a, b, op):
              op, a.data.shape, b.data.shape)
 
 
-def _check_out(out, x, op):
-    """Check that `out` can hold op's result over x: x's shape and dtype, and
-    C-contiguous, so the result Tensor wraps it rather than a copy."""
-    _require(out.shape == x.data.shape and out.dtype == x.data.dtype
-             and out.flags.c_contiguous,
-             "{}: out= must be a C-contiguous {} {} array, got {} {}",
-             op, x.data.dtype, x.data.shape, out.dtype, out.shape)
-
-
 # Core elementwise arithmetic. Broadcasting is deliberately not supported
 # here; the few shapes the network needs to mix are handled inside the
 # dedicated ops (batch norm, bias add, attention gating).
 
-def add(a, b, out=None):
-    """a + b. With `out` the sum goes into that array, numpy-style, and the
-    result wraps it; `out` may be an operand's own array, since backward
-    reads neither operand."""
+def add(a, b):
     _check_same_shape(a, b, "add")
-    if out is None:
-        out = a.data + b.data
-    else:
-        _check_out(out, a, "add")
-        np.add(a.data, b.data, out=out)
-    out = Tensor(out, dtype=a.data.dtype)
+    out = Tensor(a.data + b.data, dtype=a.data.dtype)
 
     def bwd(g):
         accumulate_grad(a, g)

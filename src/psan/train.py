@@ -49,9 +49,9 @@ def train(cfg, dataset=None, out_path=None, log_fn=None, target_loss=None):
     float64 model.
 
     A non-finite loss raises NonFiniteError naming the op and scope of the
-    first tape node whose output is non-finite. A residual unit writes its
-    skip sum and last relu into its conv3 `conv_bn` output, so an overflow
-    in that sum is named as that `conv_bn` node, in the unit's scope.
+    first tape node whose output is non-finite. A residual unit's skip sum
+    and last relu are part of its conv3 `conv_bn` node, so an overflow in
+    that sum is named as that node, in the unit's scope.
     An `out_path` in a missing directory raises FileNotFoundError first, and
     one that is itself a directory IsADirectoryError, both before step 1. A
     corpus label outside the charset or longer than the decoder's step

@@ -332,14 +332,20 @@ def test_an_empty_manifest_label_names_its_line_before_any_work(workdir, tmp_pat
     assert list(tmp_path.iterdir()) == [manifest]
 
 
-@pytest.mark.parametrize("command", ["gen-data", "eval", "robustness"])
-def test_a_negative_seed_flag_is_one_error_line_naming_it(workdir, tmp_path, capsys, command):
+@pytest.mark.parametrize("command,seed,message", [
+    pytest.param("gen-data", "-3", "seed must be >= 0, got -3", id="gen-data"),
+    pytest.param("eval", "-3", "seed must be >= 0, got -3", id="eval"),
+    pytest.param("robustness", "-3", "seed must be >= 0, got -3", id="robustness"),
+    pytest.param("gen-data", "x", "invalid int value: 'x'", id="gen-data-not-an-integer"),
+])
+def test_a_negative_seed_flag_is_one_error_line_naming_it(workdir, tmp_path, capsys, command,
+                                                          seed, message):
     out = tmp_path / "corpus"
     args = (["--out", str(out)] if command == "gen-data"
             else ["--checkpoint", workdir["ckpt"]])
-    assert main([command, *args, "--seed", "-3"]) == 2
+    assert main([command, *args, "--seed", seed]) == 2
     out_text, err = capsys.readouterr()
-    assert out_text == "" and err == "error: argument --seed: seed must be >= 0, got -3\n"
+    assert out_text == "" and err == f"error: argument --seed: {message}\n"
     assert not out.exists()
 
 

@@ -72,6 +72,8 @@ def test_validation_errors():
         (dict(train_samples=0), "train_samples"),
         (dict(max_steps=0), "max_steps"),
         (dict(channels=0), "^channels must be >= 1"),
+        (dict(hidden_size=0), "^hidden_size must be >= 1, got 0$"),
+        (dict(embedding_dim=0), "^embedding_dim must be >= 1, got 0$"),
         (dict(channels="8"), "channels must be int"),
         (dict(channels=8.0), "channels must be int"),
         (dict(epochs=True), "epochs must be int"),

@@ -4,11 +4,12 @@ With no tape open, each conv->BN pair runs as one conv whose weight and bias
 absorb the batch norm's running statistics, whatever its mode: same
 features, rebuilt fresh every call. Under a tape each pair (and its relu)
 records one `conv_bn` node that rounds every value as the separate conv2d,
-batchnorm2d and relu ops, and keeps only its output and, for a 3x3 or
-strided kernel, x_hat.
+batchnorm2d, add (of a skip) and relu ops, and keeps only its output and,
+for a 3x3 or strided kernel, x_hat.
 """
 
 import tracemalloc
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -139,20 +140,24 @@ def test_fold_reads_the_current_arrays_on_every_call():
 
 def fused_runs(nodes):
     """(op, scope) per node of a two-op tape, each conv2d -> batchnorm2d run
-    (and the relu that reads the batch norm) collapsed into the conv_bn node
-    that replaces it, scoped to the block that holds the pair."""
+    (and the skip add that reads the batch norm, and the relu that reads
+    either) collapsed into the conv_bn node that replaces it, scoped to the
+    block that holds the pair."""
     out = []
     i = 0
     while i < len(nodes):
         node = nodes[i]
         if node.op == "conv2d" and i + 1 < len(nodes) and nodes[i + 1].op == "batchnorm2d":
-            bn = nodes[i + 1]
-            assert bn.inputs[0] is node.output
+            last = nodes[i + 1]
+            assert last.inputs[0] is node.output
+            block = node.scope.rsplit(".", 1)[0]
             i += 2
-            if i < len(nodes) and nodes[i].op == "relu" and nodes[i].inputs[0] is bn.output:
-                assert nodes[i].scope == node.scope.rsplit(".", 1)[0]
-                i += 1
-            out.append(("conv_bn", node.scope.rsplit(".", 1)[0]))
+            for op in ("add", "relu"):
+                if i < len(nodes) and nodes[i].op == op and nodes[i].inputs[0] is last.output:
+                    assert nodes[i].scope == block
+                    last = nodes[i]
+                    i += 1
+            out.append(("conv_bn", block))
         else:
             out.append((node.op, node.scope))
             i += 1
@@ -161,9 +166,9 @@ def fused_runs(nodes):
 
 def test_train_mode_tape_is_the_two_op_tape(monkeypatch):
     """Fusion changes no bit of training: the same loss, gradients and state
-    as a model calling bn(conv(x)) and relu directly, and each fused node
-    stands where a conv2d -> batchnorm2d (-> relu) run stood, in the block's
-    scope."""
+    as a model calling bn(conv(x)), add and relu directly, and each fused
+    node stands where a conv2d -> batchnorm2d (-> add) (-> relu) run stood,
+    in the block's scope."""
     def run():
         model = tiny_model()
         images = Tensor(np.random.default_rng(0).uniform(-1, 1, (2, 3, 32, 128)))
@@ -175,7 +180,12 @@ def test_train_mode_tape_is_the_two_op_tape(monkeypatch):
                 [(name, a.tobytes()) for name, a in model.state_entries()])
 
     fused = run()
-    two_op = lambda conv, bn, x, relu=False: ops.relu(bn(conv(x))) if relu else bn(conv(x))
+
+    def two_op(conv, bn, x, relu=False, skip=None):
+        y = bn(conv(x))
+        y = y if skip is None else ops.add(y, skip)
+        return ops.relu(y) if relu else y
+
     for mod in (layers, encoder, merging):
         monkeypatch.setattr(mod, "conv_bn", two_op)
     reference = run()
@@ -191,13 +201,17 @@ CASES = {  # c_in, c_out, kernel, stride, padding, input shape
     "3x3 stride 2, stem input": (3, 6, 3, 2, 1, (2, 3, 8, 12)),
 }
 
+TAILS = [(True, False), (False, False), (True, True), (False, True)]  # relu, skip
+TAIL_IDS = ["relu", "no relu", "skip relu", "skip no relu"]
 
-def fused_and_reference(case, relu, training, dtype, fused, scribble=False):
-    """One conv->BN(->relu) forward and backward, by the fused op or by the
-    separate ops, with x also read by a node recorded before and one after:
-    the returned arrays are the output, the running statistics, the kink
-    margins and the gradients of x, W, b, gamma and beta. With scribble set,
-    the output is overwritten with garbage before backward runs."""
+
+def fused_and_reference(case, relu, training, dtype, fused, skip=False, scribble=False):
+    """One conv->BN(->add skip)(->relu) forward and backward, by the fused op
+    or by the separate ops, with x also read by a node recorded before and
+    one after: the returned arrays are the output, the running statistics,
+    the kink margins and the gradients of x, W, b, gamma and beta (and of
+    the skip operand when there is one). With scribble set, the output is
+    overwritten with garbage before backward runs."""
     c_in, c_out, k, stride, padding, shape = CASES[case]
     rng = np.random.default_rng(11)
     leaf = lambda a: Tensor(a, requires_grad=True, dtype=dtype)
@@ -211,14 +225,16 @@ def fused_and_reference(case, relu, training, dtype, fused, scribble=False):
     h_out = (shape[2] + 2 * padding - k) // stride + 1
     w_out = (shape[3] + 2 * padding - k) // stride + 1
     proj = Tensor(rng.standard_normal((shape[0], c_out, h_out, w_out)), dtype=dtype)
+    s = leaf(rng.normal(0.0, 0.5, proj.shape)) if skip else None
     with Tape(trace_kinks=True) as tape:
         before = ops.scale(x, 0.5)
         if fused:
             y = ops.conv_bn(x, w, b, gamma, beta, rm, rv, stride=stride, padding=padding,
-                            training=training, relu=relu)
+                            training=training, relu=relu, skip=s)
         else:
             y = ops.batchnorm2d(ops.conv2d(x, w, b, stride=stride, padding=padding),
                                 gamma, beta, rm, rv, training=training)
+            y = ops.add(y, s) if skip else y
             y = ops.relu(y) if relu else y
         after = ops.mul(x, x)
         loss = ops.add(ops.add(ops.sum_all(ops.mul(y, proj)), ops.sum_all(before)),
@@ -227,17 +243,17 @@ def fused_and_reference(case, relu, training, dtype, fused, scribble=False):
             y.data[...] = rng.uniform(-9.0, 9.0, y.shape)
         backward(loss, tape)
     return ([y.data, rm, rv, np.array(tape.margins)]
-            + [t.grad for t in (x, w, b, gamma, beta)])
+            + [t.grad for t in (x, w, b, gamma, beta) + ((s,) if skip else ())])
 
 
 @pytest.mark.parametrize("mode", ["f32", "f64"])
 @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
-@pytest.mark.parametrize("relu", [True, False], ids=["relu", "no relu"])
+@pytest.mark.parametrize("relu,skip", TAILS, ids=TAIL_IDS)
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_fused_op_is_bit_equal_to_the_separate_ops(case, relu, training, mode):
-    got = fused_and_reference(case, relu, training, DTYPES[mode], fused=True)
-    want = fused_and_reference(case, relu, training, DTYPES[mode], fused=False)
-    assert len(got[3]) == int(relu)
+def test_fused_op_is_bit_equal_to_the_separate_ops(case, relu, skip, training, mode):
+    got = fused_and_reference(case, relu, training, DTYPES[mode], fused=True, skip=skip)
+    want = fused_and_reference(case, relu, training, DTYPES[mode], fused=False, skip=skip)
+    assert len(got[3]) == int(relu) and len(got) == 9 + skip
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.shape == w.shape
         assert g.tobytes() == w.tobytes()
@@ -247,7 +263,8 @@ def test_fused_op_is_bit_equal_to_the_separate_ops(case, relu, training, mode):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_fused_op_without_relu_never_reads_its_output(case, training):
     """Backward of a relu-free node gives the same gradients after its output
-    is overwritten, so a caller may reuse that buffer (ResidualUnit does)."""
+    is overwritten: its rule reads x, x_hat (or the mean) and invstd, never
+    the output. No caller writes over an output now; this pins the rule."""
     got = fused_and_reference(case, False, training, np.float64, fused=True, scribble=True)
     want = fused_and_reference(case, False, training, np.float64, fused=True)
     assert got[0].tobytes() != want[0].tobytes()
@@ -256,14 +273,14 @@ def test_fused_op_without_relu_never_reads_its_output(case, training):
 
 
 @pytest.mark.parametrize("mode", ["f32", "f64"])
-@pytest.mark.parametrize("relu", [True, False], ids=["relu", "no relu"])
+@pytest.mark.parametrize("relu,skip", TAILS, ids=TAIL_IDS)
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_untaped_fold_is_the_folded_conv_and_writes_nothing_it_reads(case, relu, mode,
+def test_untaped_fold_is_the_folded_conv_and_writes_nothing_it_reads(case, relu, skip, mode,
                                                                       monkeypatch):
     """With no tape a pair gives the bytes of relu(conv2d(x, W*k, (b-mean)*k
-    + beta)), clamping in place with no relu op, and leaves the input (which
-    a 1x1 conv reads through a view) and every array of the pair as they
-    were."""
+    + beta) + skip), adding and clamping in place with no add or relu op,
+    and leaves the input (which a 1x1 conv reads through a view), the skip
+    and every array of the pair as they were."""
     c_in, c_out, k, stride, padding, shape = CASES[case]
     dtype = DTYPES[mode]
     rng = np.random.default_rng(5)
@@ -277,12 +294,16 @@ def test_untaped_fold_is_the_folded_conv_and_writes_nothing_it_reads(case, relu,
     want = ops.conv2d(x, Tensor(w * scale[:, None, None, None], dtype=dtype),
                       Tensor((b - bn.running_mean) * scale + bn.beta.value.data, dtype=dtype),
                       stride=stride, padding=padding)
+    s = Tensor(rng.standard_normal(want.shape), dtype=dtype) if skip else None
+    want = ops.add(want, s) if skip else want
     want = ops.relu(want) if relu else want
     arrays = ([x.data, bn.running_mean, bn.running_var]
-              + [p.value.data for p in conv.params() + bn.params()])
+              + [p.value.data for p in conv.params() + bn.params()]
+              + ([s.data] if skip else []))
     before = [a.tobytes() for a in arrays]
+    monkeypatch.setattr(ops, "add", None)
     monkeypatch.setattr(ops, "relu", None)
-    got = layers.conv_bn(conv, bn, x, relu=relu).data
+    got = layers.conv_bn(conv, bn, x, relu=relu, skip=s).data
     assert got.dtype == want.data.dtype and got.shape == want.shape
     assert got.tobytes() == want.data.tobytes()
     assert [a.tobytes() for a in arrays] == before
@@ -322,6 +343,26 @@ def test_untaped_op_is_the_fold_even_in_train_mode(case, relu, mode, monkeypatch
     assert got.data.tobytes() == want.tobytes()
     assert [a.tobytes() for a in arrays] == before
     assert recorded == ["conv2d"] and not got.requires_grad
+
+
+@pytest.mark.parametrize("taped", [True, False], ids=["taped", "untaped"])
+def test_a_skip_of_another_shape_is_refused_before_anything_is_written(taped):
+    c_in, c_out, k, stride, padding, shape = CASES["3x3 stride 2, stem input"]
+    rng = np.random.default_rng(2)
+    x, gamma, beta = (Tensor(rng.standard_normal(s), requires_grad=True)
+                      for s in (shape, c_out, c_out))
+    w = Tensor(rng.standard_normal((c_out, c_in, k, k)), requires_grad=True)
+    b = Tensor(np.zeros(c_out), requires_grad=True)
+    rm, rv = np.zeros(c_out, np.float32), np.ones(c_out, np.float32)
+    skip = Tensor(np.ones((2, c_out, 4, 5)))  # the output is (2, 6, 4, 6)
+    arrays = [rm, rv] + [t.data for t in (x, w, b, gamma, beta, skip)]
+    before = [a.tobytes() for a in arrays]
+    tape = Tape()
+    with tape if taped else nullcontext(), pytest.raises(ValueError) as err:
+        ops.conv_bn(x, w, b, gamma, beta, rm, rv, stride=stride, padding=padding,
+                    training=True, relu=True, skip=skip)
+    assert str(err.value) == "conv_bn: skip shape (2, 6, 4, 5) != output shape (2, 6, 4, 6)"
+    assert [a.tobytes() for a in arrays] == before and tape.nodes == []
 
 
 @pytest.mark.parametrize("stride", [1, 2])

@@ -363,6 +363,14 @@ def test_export_pgm_names_files_by_the_index_column(tmp_path, indices):
                                    atol=0.5 / 255.0 + 1e-12)
 
 
+def test_pgm_reader_refuses_a_maxval_other_than_255(tmp_path):
+    path = tmp_path / "deep.pgm"
+    path.write_bytes(b"P5\n3 2\n65535\n" + bytes(12))
+    with pytest.raises(ValueError) as err:
+        read_pgm(path)
+    assert str(err.value) == f"{path}: only maxval 255 is supported"
+
+
 @pytest.mark.parametrize("size", ["0 0", "4 0", "0 4"])
 def test_pgm_reader_rejects_empty_images(tmp_path, size):
     path = tmp_path / "empty.pgm"

@@ -13,7 +13,7 @@ from psan.encoder import (Encoder, EncoderConfig, FusionBlock, PlainBranch,
 from psan.gradcheck import COMPOSITE_TOL, check_case
 from psan.layers import ConvBNReLU
 from psan.tensor import Tape, Tensor, backward, sum_all
-from psan import ops
+from psan import encoder, ops
 
 
 def node_output(tape, op, scope):
@@ -103,13 +103,20 @@ def residual_unit_run(dtype, taped):
 @pytest.mark.parametrize("taped", [True, False], ids=["taped", "untaped"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
 def test_residual_unit_tail_in_place_is_bit_equal(dtype, taped, monkeypatch):
-    """The unit's sum and relu written over conv3's output give the bytes of
-    the out-of-place relu(add(y, x)): output, loss, margins, running
-    statistics and every gradient."""
+    """The unit's skip sum and relu, added and clamped in place inside conv3's
+    `conv_bn`, give the bytes of the relu-free pair followed by out-of-place
+    add and relu ops: output, loss, margins, running statistics and every
+    gradient."""
     got = residual_unit_run(dtype, taped)
-    add, relu = ops.add, ops.relu
-    monkeypatch.setattr(ops, "add", lambda a, b, out=None: add(a, b))
-    monkeypatch.setattr(ops, "relu", lambda x, out=None: relu(x))
+    pair = encoder.conv_bn
+
+    def separate_tail(conv, bn, x, relu=False, skip=None):
+        if skip is None:
+            return pair(conv, bn, x, relu=relu)
+        assert relu
+        return ops.relu(ops.add(pair(conv, bn, x), skip))
+
+    monkeypatch.setattr(encoder, "conv_bn", separate_tail)
     assert got == residual_unit_run(dtype, taped)
 
 

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from psan.config import ModelConfig
 from psan.layers import ConvBNReLU
 from psan.merging import MergingHead
+from psan.model import TextRecognizer
 from psan.tensor import Tape, Tensor
 
 
@@ -81,6 +83,18 @@ def test_rejects_wrong_scale_count_and_misaligned_dims():
         mh.forward(rand_feats(rng, [(1, 4, 8, 16)]))
     with pytest.raises(ValueError, match="pooled"):
         mh.forward(rand_feats(rng, [(1, 4, 8, 8), (1, 8, 2, 4)]))
+
+
+def test_model_rejects_inputs_its_scales_cannot_halve():
+    cfg = ModelConfig(channels=4, num_scales=2, rus_per_rs=1, vab_convs=1, max_length=4,
+                      hidden_size=8, embedding_dim=6, label_max_len=3)
+    with pytest.raises(ValueError) as err:
+        TextRecognizer(cfg, input_hw=(8, 18))
+    assert str(err.value) == "input 8x18 must be divisible by 2^2"
+    model = TextRecognizer(cfg, input_hw=(8, 16))
+    with pytest.raises(ValueError) as err:
+        model.features(Tensor(np.zeros((1, 3, 8, 20))))
+    assert str(err.value) == "model expects 8x16 images, got 8x20"
 
 
 def test_rejects_tiny_max_length():

@@ -50,7 +50,7 @@ def test_scopes_name_the_innermost_module():
             assert fused[m.name] == 1 and relus[m.name] == 0, m.name
         if isinstance(m, ResidualUnit):
             assert re.search(r"\.ru\d+$", m.name), m.name
-            assert fused[m.name] == 3 and adds[m.name] == 1 and relus[m.name] == 1, m.name
+            assert fused[m.name] == 3 and adds[m.name] == 0 and relus[m.name] == 0, m.name
         if isinstance(m, MergingHead):
             assert fused[m.name] == 1, m.name
     assert sum(fused.values()) == len(model.batchnorms)

@@ -7,6 +7,7 @@ import pytest
 
 from psan import ops
 from psan.config import ModelConfig
+from psan.gradcheck import check_case
 from psan.model import TextRecognizer
 from psan.tensor import (GradientError, NonFiniteError, Parameter, Tape,
                          Tensor, adadelta_step, backward,
@@ -85,6 +86,13 @@ def test_backward_rejects_nonscalar_loss():
         y = ops.mul(x, x)
         with pytest.raises(GradientError, match="scalar"):
             backward(y, tape)
+
+
+def test_item_needs_a_single_element():
+    assert Tensor([[2.5]]).item() == 2.5
+    with pytest.raises(ValueError) as err:
+        Tensor([1.0, 2.0]).item()
+    assert str(err.value) == "item() needs a single-element tensor, got shape (2,)"
 
 
 def test_backward_consumes_tape():
@@ -170,6 +178,16 @@ def test_fd_rejects_nonfinite_probe():
 
     with pytest.raises(NonFiniteError):
         finite_difference_grad(bad, x)
+
+
+def test_check_case_refuses_a_probe_point_near_a_relu_kink():
+    """A relu input 1e-4 from zero is inside the central differences' reach:
+    the check refuses the point rather than compare its slopes."""
+    x = Tensor([0.5, 1e-4, -1.0], dtype=np.float64)
+    with pytest.raises(RuntimeError) as err:
+        check_case(lambda: sum_all(ops.relu(x)), [x])
+    assert str(err.value) == ("probe point is 1.00e-04 from a relu/pool kink (need 1e-03); "
+                              "use a different seed")
 
 
 def test_tape_first_nonfinite_finds_earliest_bad_node():

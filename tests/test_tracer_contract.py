@@ -24,10 +24,10 @@ def test_tracer_wraps_every_layer(tmp_path):
                       max_length=4, hidden_size=8, embedding_dim=6, alphabet="ab",
                       train_samples=2, label_max_len=3, batch_size=2, epochs=1, seed=5)
     tr = tracer.Tracer()
-    original = ops.batchnorm2d
+    unused = {"batchnorm2d": ops.batchnorm2d, "relu": ops.relu}
     tr.install()
     try:
-        patched_bn = ops.batchnorm2d is not original
+        patched = {name for name, fn in unused.items() if getattr(ops, name) is not fn}
         path = tmp_path / "m.ckpt"
         train(cfg, out_path=str(path))
         model, _ = checkpoint.load_checkpoint(path)  # through the patched name
@@ -39,10 +39,12 @@ def test_tracer_wraps_every_layer(tmp_path):
             "encoder.vab", "encoder.fusion", "encoder.transition", "merging",
             "decoder", "model", "tensor", "checkpoint", "data"} <= layers
     names = lambda layer: {s[tracer.NAME] for s in tr.spans if s[tracer.LAYER] == layer}
-    # batchnorm2d has no caller in the model: every conv/BN pair trains
-    # through the fused conv_bn node, and recognition folds the pair
-    assert patched_bn and ops.batchnorm2d is original
-    assert set(tracer.OPS) - {"batchnorm2d"} <= names("ops")
+    # batchnorm2d and relu have no caller in the model: every conv/BN pair,
+    # with its relu, trains through the fused conv_bn node, and recognition
+    # folds the pair and clamps in place
+    assert patched == set(unused)
+    assert all(getattr(ops, name) is fn for name, fn in unused.items())
+    assert set(tracer.OPS) - set(unused) <= names("ops")
     assert names("checkpoint") == {"save_checkpoint", "load_checkpoint"}
     assert tr.tape_stats and tr.tape_stats[0][0] > 0
     assert all(s[tracer.END] is not None for s in tr.spans)

@@ -11,7 +11,7 @@ from psan.config import ModelConfig
 from psan.data import SyntheticDataset
 from psan.layers import BatchNorm2d
 from psan.model import TextRecognizer
-from psan.tensor import NonFiniteError, Parameter, Tensor, adadelta_step
+from psan.tensor import NonFiniteError, Parameter, Tape, Tensor, adadelta_step
 from psan.train import (dataset_from_config, evaluate, lr_scale_for_epoch,
                         train)
 
@@ -163,6 +163,23 @@ def test_default_batch_16_train_step_peak_memory():
     finally:
         tracemalloc.stop()
     assert len(peaks) == 2 and peaks[-1] <= 72 * 2 ** 20, peaks
+
+
+def test_default_model_structure_counts():
+    """Modules, parameter arrays and values of the default model, and the tape
+    nodes of a taped batch-16 loss: 152 + 5*L for a longest label L (the
+    decoder runs L + 1 teacher-forced steps of five nodes each). A change to
+    any of these counts updates this test and says so."""
+    model = TextRecognizer(ModelConfig())
+    params = model.params()
+    assert (len(list(model.modules())), len(params)) == (314, 490)
+    assert sum(p.value.data.size for p in params) == 629_797
+    images = Tensor(np.zeros((16, 3, 32, 128)))
+    for longest in (1, 9):
+        with Tape() as tape:
+            model.loss(images, ["a" * longest] + ["a"] * 15)
+        assert len(tape.nodes) == 152 + 5 * longest
+    assert len(tape.nodes) == 197
 
 
 def test_checkpoint_written_each_epoch_and_on_completion(tmp_path, monkeypatch):
